@@ -249,6 +249,9 @@ class FusionDriver:
         return window
 
     def add_measurement(self, timestamp: float, pose: Pose2) -> SolveReport:
+        # Pose2 is finite by construction
+        if not math.isfinite(timestamp):
+            raise ValidationError(f"measurement timestamp must be finite, got {timestamp}")
         sm = self.smoother
         if not self.frame_ts:
             key = sm.add_variable(initial_guess=self._prior if self._prior is not None else pose)

@@ -313,6 +313,15 @@ def test_stream_flush_matches_fuse(monkeypatch, capsys, tmp_path):
         assert pose_diff(lpose, pose) < 1e-9
 
 
+@pytest.mark.parametrize("bad", ["MEAS nan 0 0 0", "MEAS inf 0 0 0"])
+def test_stream_rejects_non_finite_timestamp_and_keeps_going(monkeypatch, capsys, bad):
+    out = run_stream(monkeypatch, capsys, ["PRIOR 0 0 0", bad, "MEAS 0.1 1 0 0"])
+    assert len(out) == 2
+    assert out[0].startswith("ERR 2 ")
+    tag, ts, key, *_ = out[1].split()
+    assert (tag, float(ts), key) == ("EST", 0.1, "0")
+
+
 def test_stream_flush_without_frames_is_silent(monkeypatch, capsys):
     out = run_stream(monkeypatch, capsys, ["FLUSH"])
     assert out == []

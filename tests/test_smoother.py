@@ -6,6 +6,7 @@ and never touches the library's sparse/banded assembly paths.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -476,3 +477,119 @@ def test_determinism_of_update():
         return [s.pose_estimate(k).as_tuple() for k in range(30)]
 
     assert run() == run()
+
+
+def test_marginal_follows_factor_added_after_update():
+    fix = Pose2(1.0, 2.0, 0.3)
+    s = Smoother()
+    k = s.add_variable(fix)
+    s.add_factor(MeasurementFactor(k, fix, DiagonalNoise(*(3 * [math.sqrt(2.0)]))))
+    s.update()
+    assert np.allclose(s.marginal_sigma(k), 3 * [math.sqrt(2.0)], rtol=1e-9)
+    s.add_factor(MeasurementFactor(k, fix, DiagonalNoise(0.01, 0.01, 0.01)))
+    fresh = Smoother()
+    fresh.add_variable(fix)
+    for f in s.graph().factors:
+        fresh.add_factor(f)
+    fresh.update()
+    want = fresh.marginal_sigma(k)
+    assert np.allclose(want, 3 * [0.01], rtol=1e-3)
+    assert np.allclose(s.marginal_sigma(k), want, rtol=1e-12)
+
+
+def _loop_graph_smoother():
+    """A 30-pose chain with fixes and a span-29 loop closure, solved, in sparse mode."""
+    rng = make_rng(101)
+    steps = _random_incremental_graph(rng, 30, meas_sigma=(0.02, 0.05), odo_sigma=(0.002, 0.008), closure_rate=0.0)
+    s, _ = _solve_incrementally(steps)
+    s.add_factor(BetweenFactor(0, 29, steps[0][0].measured.between(steps[-1][0].measured), UNIT))
+    s.update()
+    assert s._pattern()["mode"] == "sparse"
+    return s
+
+
+def _chain_smoother():
+    s = Smoother()
+    for k in range(5):
+        s.add_variable()
+        s.add_factor(MeasurementFactor(k, Pose2(k, 0, 0), UNIT))
+        if k:
+            s.add_factor(BetweenFactor(k - 1, k, Pose2(1, 0, 0), UNIT))
+    s.update()
+    assert s._pattern()["mode"] == "banded"
+    return s
+
+
+@pytest.mark.parametrize("build", [_chain_smoother, _loop_graph_smoother])
+def test_overflowing_fix_raises_gauge_error_without_warnings(build):
+    s = build()
+    key = s.num_variables - 1
+    s.add_factor(MeasurementFactor(key, Pose2(1e300, 1e300, 0.0), UNIT))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GaugeError):
+            s.update()
+        with pytest.raises(GaugeError):
+            s.marginal_sigma(key)
+
+
+def _scratch_normal_equations(s):
+    """Normal equations of s at its values, through a pattern built in one go."""
+    fresh = Smoother()
+    for row in s._x.view():
+        fresh.add_variable(Pose2(*row))
+    for f in s.graph().factors:
+        fresh.add_factor(f)
+    pattern = fresh._pattern()
+    return pattern, fresh._linearize(fresh._evaluate(fresh._x.view())[1], pattern)
+
+
+def test_incremental_pattern_matches_one_built_from_scratch():
+    rng = make_rng(103)
+    s = Smoother()
+
+    def noise():
+        return DiagonalNoise(*rng.uniform(0.05, 3.0, 3))
+
+    def add_pose():
+        k = s.add_variable(random_pose(rng))
+        s.add_factor(MeasurementFactor(k, random_pose(rng), noise()))
+        if k:
+            s.add_factor(BetweenFactor(k - 1, k, random_pose(rng, span=3.0), noise()))
+
+    def closure(a, b):
+        return lambda: s.add_factor(BetweenFactor(a, b, random_pose(rng, span=3.0), noise()))
+
+    # each stage is compared with a pattern built in one go after it is added;
+    # in sparse mode, "mid" stages must insert a key before the last one
+    stages = [
+        ("banded", None, lambda: [add_pose() for _ in range(20)]),
+        ("banded", None, add_pose),  # a new variable, appended
+        ("banded", None, closure(20, 18)),  # a wider band: rebuilt
+        ("banded", None, lambda: s.add_factor(PriorFactor(4, random_pose(rng), noise()))),
+        ("sparse", None, closure(0, 20)),  # flips to sparse
+        ("sparse", "mid", closure(9, 2)),
+        ("sparse", "mid", add_pose),  # a new variable: odometry enters the previous key's column
+        ("sparse", "mid", closure(3, 7)),
+        ("sparse", "same", closure(7, 3)),  # no new key
+        ("sparse", "mid", lambda: [add_pose() for _ in range(20)]),  # the stores grow
+    ]
+    for mode, keys, stage in stages:
+        old = s._pattern_cache["csc"].copy() if s._pattern_cache else None
+        stage()
+        pattern = s._pattern()
+        assert pattern["mode"] == mode
+        system, g = s._linearize(s._evaluate(s._x.view())[1], pattern)
+        want_pattern, (want_system, want_g) = _scratch_normal_equations(s)
+        assert np.array_equal(g, want_g)
+        if mode == "banded":
+            assert pattern["u"] == want_pattern["u"]
+            assert np.array_equal(system, want_system)
+            continue
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(system, name), getattr(want_system, name))
+        if keys == "mid":
+            assert len(pattern["csc"]) > len(old)
+            assert not np.array_equal(pattern["csc"][: len(old)], old)
+        elif keys == "same":
+            assert np.array_equal(pattern["csc"], old)
