@@ -10,17 +10,19 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .dataset import (
     DEFAULT_MAX_DT,
-    ODOMETRY_DELTA_HEADER,
     TrajectoryRecord,
+    _fmt,
     associate,
     compute_errors,
     read_odometry_csv,
     read_trajectory_csv,
+    write_odometry_csv,
     write_trajectory_csv,
 )
 from .errors import ValidationError
@@ -28,101 +30,102 @@ from .factors import BetweenFactor, MeasurementFactor, PriorFactor
 from .geometry import Pose2
 from .noise import DiagonalNoise, MEASUREMENT_DEFAULT, ODOMETRY_DEFAULT, PRIOR_DEFAULT
 from .odometry import OdometrySample, accumulate
-from .simulate import SimConfig, generate, raw_measurement_rmse
+from .simulate import SimConfig, generate
 from .smoother import GaugeError, Smoother, SolveReport
+
+
+def _option(default, group: str, metavar: str | None = None, build: Callable | None = None):
+    """A RunConfig field, and how a flag or a --config key sets it.
+
+    group names the commands that take the flag. A metavar with commas makes
+    the value a tuple of that many floats; a scalar has the type of its
+    default. A None default allows null. build makes the value the program
+    uses from a given one, and raises ValueError for one out of range.
+    """
+    arity = metavar.count(",") + 1 if metavar else 1
+    kind = float if arity > 1 else type(default)
+    meta = dict(group=group, kind=kind, arity=arity, metavar=metavar, build=build)
+    return field(default=default, metadata=meta)
+
+
+def _sigmas(noise: DiagonalNoise, group: str):
+    return _option(noise.sigmas(), group, "SX,SY,STHETA", DiagonalNoise)
+
+
+def _non_negative(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"must be >= 0, got {n}")
+    return n
 
 
 @dataclass
 class RunConfig:
-    """Resolved settings: defaults, then --config JSON, then flags."""
+    """Resolved settings: defaults, then --config JSON, then flags.
 
-    seed: int = 0
-    n_frames: int = 1000
-    odom_rate_multiplier: int = 5
-    extent: tuple[float, float] = (300.0, 150.0)
-    mean_speed: float = 1.0
-    measurement_noise: tuple[float, float, float] = MEASUREMENT_DEFAULT.sigmas()
-    odometry_step_noise: tuple[float, float, float] = ODOMETRY_DEFAULT.sigmas()
-    outlier_rate: float = 0.05
-    outlier_sigma_scale: float = 4.0
-    bad_prior_offset: tuple[float, float, float] | None = None
-    measurement_sigmas: tuple[float, float, float] = MEASUREMENT_DEFAULT.sigmas()
-    odometry_sigmas: tuple[float, float, float] = ODOMETRY_DEFAULT.sigmas()
-    prior_sigmas: tuple[float, float, float] = PRIOR_DEFAULT.sigmas()
-    skip_first: int = 0
-    out_dir: str = "."
+    Each field declares its option once; the config-file coercion, the flags
+    and each command's flag set are built from these declarations.
+    """
 
-
-def _coerce_int(key: str, v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValidationError(f"config key {key!r} must be an integer, got {v!r}")
-    return v
+    seed: int = _option(0, "sim")
+    n_frames: int = _option(1000, "sim")
+    odom_rate_multiplier: int = _option(5, "sim")
+    extent: tuple[float, float] = _option((300.0, 150.0), "sim", "W,H")
+    mean_speed: float = _option(1.0, "sim")
+    measurement_noise: tuple[float, float, float] = _sigmas(MEASUREMENT_DEFAULT, "sim")
+    odometry_step_noise: tuple[float, float, float] = _sigmas(ODOMETRY_DEFAULT, "sim")
+    outlier_rate: float = _option(0.05, "sim")
+    outlier_sigma_scale: float = _option(4.0, "sim")
+    bad_prior_offset: tuple[float, float, float] | None = _option(None, "sim", "X,Y,THETA", Pose2)
+    measurement_sigmas: tuple[float, float, float] = _sigmas(MEASUREMENT_DEFAULT, "fuse")
+    odometry_sigmas: tuple[float, float, float] = _sigmas(ODOMETRY_DEFAULT, "fuse")
+    prior_sigmas: tuple[float, float, float] = _sigmas(PRIOR_DEFAULT, "fuse")
+    skip_first: int = _option(0, "evaluate", build=_non_negative)
+    out_dir: str = _option(".", "out")
 
 
-def _coerce_float(key: str, v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"config key {key!r} must be a number, got {v!r}")
-    return float(v)
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+
+# The JSON types a config value may have, and their description, per kind
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
-def _coerce_tuple(n: int):
-    def coerce(key: str, v):
-        if not isinstance(v, (list, tuple)) or len(v) != n:
-            raise ValidationError(f"config key {key!r} must be a list of {n} numbers, got {v!r}")
-        return tuple(_coerce_float(key, x) for x in v)
-
-    return coerce
-
-
-def _coerce_optional_tuple3(key: str, v):
-    if v is None:
+def _from_json(key: str, value):
+    f = _FIELDS[key]
+    kind, arity = f.metadata["kind"], f.metadata["arity"]
+    if value is None and f.default is None:
         return None
-    return _coerce_tuple(3)(key, v)
+    items = value if arity > 1 and isinstance(value, list) else [value]
+    types, what = _JSON_KINDS[kind]
+    # bool is an int subclass, but true is not a number
+    if len(items) != arity or any(isinstance(x, bool) or not isinstance(x, types) for x in items):
+        what = f"a list of {arity} numbers" if arity > 1 else what
+        raise ValidationError(f"config key {key!r} must be {what}, got {value!r}")
+    return tuple(map(float, items)) if arity > 1 else kind(value)
 
 
-def _coerce_str(key: str, v) -> str:
-    if not isinstance(v, str):
-        raise ValidationError(f"config key {key!r} must be a string, got {v!r}")
-    return v
+def _flag_type(f):
+    """The argparse type of f's flag: its kind, or comma-separated floats for a tuple."""
+    arity, metavar = f.metadata["arity"], f.metadata["metavar"]
+
+    # argparse reports a ValueError here as "invalid floats value"
+    def floats(text: str) -> tuple[float, ...]:
+        parts = text.split(",")
+        if len(parts) != arity:
+            raise argparse.ArgumentTypeError(f"expected {metavar}, got {text!r}")
+        return tuple(map(float, parts))
+
+    return floats if arity > 1 else f.metadata["kind"]
 
 
-_CONFIG_COERCE = {
-    "seed": _coerce_int,
-    "n_frames": _coerce_int,
-    "odom_rate_multiplier": _coerce_int,
-    "extent": _coerce_tuple(2),
-    "mean_speed": _coerce_float,
-    "measurement_noise": _coerce_tuple(3),
-    "odometry_step_noise": _coerce_tuple(3),
-    "outlier_rate": _coerce_float,
-    "outlier_sigma_scale": _coerce_float,
-    "bad_prior_offset": _coerce_optional_tuple3,
-    "measurement_sigmas": _coerce_tuple(3),
-    "odometry_sigmas": _coerce_tuple(3),
-    "prior_sigmas": _coerce_tuple(3),
-    "skip_first": _coerce_int,
-    "out_dir": _coerce_str,
-}
-
-
-def _parse_triple(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected x,y,theta, got {text!r}")
+def _built(name: str, value):
+    """value of option name, made by its build if it has one; a ValueError there names the option."""
+    build = _FIELDS[name].metadata["build"]
+    if build is None or value is None:
+        return value
     try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected three numbers, got {text!r}") from None
-
-
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected width,height, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected two numbers, got {text!r}") from None
+        return build(*value) if isinstance(value, tuple) else build(value)
+    except ValueError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
 
 
 def _load_json(path):
@@ -146,48 +149,23 @@ def _resolve_config(args) -> RunConfig:
         data = _load_json(config_path)
         if not isinstance(data, dict):
             raise ValidationError(f"{config_path}: config must be a JSON object")
-        unknown = sorted(set(data) - set(_CONFIG_COERCE))
+        unknown = sorted(set(data) - set(_FIELDS))
         if unknown:
             raise ValidationError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
         for key, value in data.items():
-            setattr(cfg, key, _CONFIG_COERCE[key](key, value))
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    if cfg.skip_first < 0:
-        raise ValidationError(f"skip_first must be >= 0, got {cfg.skip_first}")
+            setattr(cfg, key, _from_json(key, value))
+    for name in _FIELDS:
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
+        # rejects a value out of range before any command starts work
+        _built(name, getattr(cfg, name))
     return cfg
 
 
 def _sim_config(cfg: RunConfig) -> SimConfig:
-    offset = None
-    if cfg.bad_prior_offset is not None:
-        offset = Pose2(*cfg.bad_prior_offset)
-    return SimConfig(
-        seed=cfg.seed,
-        n_frames=cfg.n_frames,
-        odom_rate_multiplier=cfg.odom_rate_multiplier,
-        extent=cfg.extent,
-        mean_speed=cfg.mean_speed,
-        measurement_noise=DiagonalNoise(*cfg.measurement_noise),
-        odometry_step_noise=DiagonalNoise(*cfg.odometry_step_noise),
-        outlier_rate=cfg.outlier_rate,
-        outlier_sigma_scale=cfg.outlier_sigma_scale,
-        bad_prior_offset=offset,
-    )
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def write_odometry_csv(samples, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(ODOMETRY_DELTA_HEADER) + "\n")
-        for s in samples:
-            d = s.delta
-            fh.write(f"{_fmt(s.timestamp)},{_fmt(d.x)},{_fmt(d.y)},{_fmt(d.theta)}\n")
+    # the sim options are SimConfig's fields, under the same names
+    sim = [name for name, f in _FIELDS.items() if f.metadata["group"] == "sim"]
+    return SimConfig(**{name: _built(name, getattr(cfg, name)) for name in sim})
 
 
 def _read_prior_json(path) -> Pose2:
@@ -249,27 +227,35 @@ class FusionDriver:
         return window
 
     def add_measurement(self, timestamp: float, pose: Pose2) -> SolveReport:
+        """Add a frame and re-solve. On any failure the driver and smoother stay as they were."""
         # Pose2 is finite by construction
         if not math.isfinite(timestamp):
             raise ValidationError(f"measurement timestamp must be finite, got {timestamp}")
+        t_prev = self.frame_ts[-1] if self.frame_ts else None
+        if t_prev is not None and timestamp <= t_prev:
+            raise ValidationError(f"measurement timestamps must increase: {timestamp} after {t_prev}")
         sm = self.smoother
-        if not self.frame_ts:
-            key = sm.add_variable(initial_guess=self._prior if self._prior is not None else pose)
-            if self._prior is not None:
-                sm.add_factor(PriorFactor(key, self._prior, self._prior_noise))
-        else:
-            t_prev = self.frame_ts[-1]
-            if timestamp <= t_prev:
-                raise ValidationError(
-                    f"measurement timestamps must increase: {timestamp} after {t_prev}"
-                )
-            edge = accumulate(self._consume(timestamp), t_prev, timestamp, self._odometry_noise)
-            key = sm.add_variable()
-            sm.add_factor(BetweenFactor(key - 1, key, edge.relative, edge.noise))
-        sm.add_factor(MeasurementFactor(key, pose, self._measurement_noise))
-        report = sm.update()
+        mark = sm.checkpoint()
+        queue = (self._pending, self._pending_head)
+        try:
+            if t_prev is None:
+                key = sm.add_variable(initial_guess=self._prior if self._prior is not None else pose)
+                if self._prior is not None:
+                    sm.add_factor(PriorFactor(key, self._prior, self._prior_noise))
+            else:
+                edge = accumulate(self._consume(timestamp), t_prev, timestamp, self._odometry_noise)
+                key = sm.add_variable()
+                sm.add_factor(BetweenFactor(key - 1, key, edge.relative, edge.noise))
+            sm.add_factor(MeasurementFactor(key, pose, self._measurement_noise))
+            report = sm.update()
+            online = sm.pose_estimate(key)
+        except BaseException:
+            sm.truncate(mark)
+            # _consume replaces the queue list rather than editing it
+            self._pending, self._pending_head = queue
+            raise
         self.frame_ts.append(timestamp)
-        self.online.append(sm.pose_estimate(key))
+        self.online.append(online)
         self.reports.append(report)
         return report
 
@@ -302,28 +288,36 @@ def _driver_from_config(cfg: RunConfig) -> FusionDriver:
     )
 
 
-def _run_fusion(driver: FusionDriver, samples, measurements: TrajectoryRecord) -> None:
+def _fuse(cfg: RunConfig, prior: Pose2 | None, samples, measurements, out_dir: Path) -> FusionDriver:
+    """Fuse the samples and frames, and write the estimate, online poses and report to out_dir."""
+    driver = _driver_from_config(cfg)
+    if prior is not None:
+        driver.set_prior(prior)
     for sample in samples:
         driver.add_odometry(sample)
-    for ts, pose in measurements:
-        driver.add_measurement(ts, pose)
-
-
-def _write_fusion_outputs(driver: FusionDriver, out_dir: Path) -> None:
+    try:
+        for ts, pose in measurements:
+            driver.add_measurement(ts, pose)
+    except GaugeError as exc:
+        raise GaugeError(f"fusion failed at frame {len(driver.frame_ts)}: {exc}") from None
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(driver.estimate_record(), out_dir / "estimate.csv")
     write_trajectory_csv(driver.online_record(), out_dir / "online.csv")
     _write_json(driver.fuse_report(), out_dir / "fuse_report.json")
+    return driver
+
+
+def _write_simulation(sim, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(sim.ground_truth, out_dir / "ground_truth.csv")
+    write_trajectory_csv(sim.measurements, out_dir / "measurements.csv")
+    write_odometry_csv(sim.odometry, out_dir / "odometry.csv")
+    _write_json({"x": sim.prior.x, "y": sim.prior.y, "theta": sim.prior.theta}, out_dir / "prior.json")
 
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
-    out = generate(_sim_config(cfg))
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(out.ground_truth, out_dir / "ground_truth.csv")
-    write_trajectory_csv(out.measurements, out_dir / "measurements.csv")
-    write_odometry_csv(out.odometry, out_dir / "odometry.csv")
-    _write_json({"x": out.prior.x, "y": out.prior.y, "theta": out.prior.theta}, out_dir / "prior.json")
+    _write_simulation(generate(_sim_config(cfg)), Path(cfg.out_dir))
     return 0
 
 
@@ -333,17 +327,18 @@ def cmd_fuse(args) -> int:
     measurements = read_trajectory_csv(args.measurements)
     if len(measurements) == 0:
         raise ValidationError(f"{args.measurements}: no measurement poses")
-    driver = _driver_from_config(cfg)
-    if args.prior:
-        driver.set_prior(_read_prior_json(args.prior))
-    try:
-        _run_fusion(driver, samples, measurements)
-    except GaugeError as exc:
-        raise GaugeError(f"fusion failed at frame {len(driver.frame_ts)}: {exc}") from None
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_fusion_outputs(driver, out_dir)
+    prior = _read_prior_json(args.prior) if args.prior else None
+    _fuse(cfg, prior, samples, measurements, Path(cfg.out_dir))
     return 0
+
+
+def _skip_first(record: TrajectoryRecord, n: int) -> TrajectoryRecord:
+    _built("skip_first", n)
+    if n == 0:
+        return record
+    if n >= len(record):
+        raise ValidationError(f"skip_first={n} drops every pose ({len(record)} available)")
+    return TrajectoryRecord(record.records[n:])
 
 
 def _evaluation_report(
@@ -353,21 +348,14 @@ def _evaluation_report(
     skip_first: int,
     max_dt: float,
 ) -> dict:
-    def skipped(record: TrajectoryRecord) -> TrajectoryRecord:
-        if skip_first == 0:
-            return record
-        if skip_first >= len(record):
-            raise ValidationError(f"skip_first={skip_first} drops every pose ({len(record)} available)")
-        return TrajectoryRecord(record.records[skip_first:])
-
-    report = compute_errors(skipped(estimate), truth, max_dt)
+    report = compute_errors(_skip_first(estimate, skip_first), truth, max_dt)
     out = {
         "rmse_translation_m": report.rmse_translation,
         "rmse_rotation_deg": report.rmse_rotation,
         "n_poses": report.n_poses,
     }
     if baseline is not None:
-        base = compute_errors(skipped(baseline), truth, max_dt)
+        base = compute_errors(_skip_first(baseline, skip_first), truth, max_dt)
         out["baseline_rmse_translation_m"] = base.rmse_translation
         out["baseline_rmse_rotation_deg"] = base.rmse_rotation
         ratio_t = report.rmse_translation / base.rmse_translation if base.rmse_translation >= 1e-9 else None
@@ -384,10 +372,9 @@ def cmd_evaluate(args) -> int:
     estimate = read_trajectory_csv(args.estimate)
     truth = read_trajectory_csv(args.truth)
     baseline = read_trajectory_csv(args.baseline) if args.baseline else None
-    skip_first = args.skip_first if args.skip_first is not None else 0
-    out = _evaluation_report(estimate, truth, baseline, skip_first, args.max_dt)
+    out = _evaluation_report(estimate, truth, baseline, args.skip_first, args.max_dt)
     if args.per_pose:
-        est = estimate if skip_first == 0 else TrajectoryRecord(estimate.records[skip_first:])
+        est = _skip_first(estimate, args.skip_first)
         report = compute_errors(est, truth, args.max_dt)
         pairs = associate(est, truth, args.max_dt)
         with open(args.per_pose, "w", newline="") as fh:
@@ -401,10 +388,12 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# The numbers each stream command other than FLUSH takes
+_STREAM_ARGS = {"ODOM": "ts dx dy dtheta", "MEAS": "ts x y theta", "PRIOR": "x y theta"}
+
+
 def cmd_stream(args) -> int:
-    cfg = _resolve_config(args)
-    driver = _driver_from_config(cfg)
-    stdin = sys.stdin
+    driver = _driver_from_config(_resolve_config(args))
     stdout = sys.stdout
 
     def emit(text: str) -> None:
@@ -414,57 +403,39 @@ def cmd_stream(args) -> int:
     def emit_pose(ts: float, key: int, pose: Pose2) -> None:
         emit(f"EST {_fmt(ts)} {key} {_fmt(pose.x)} {_fmt(pose.y)} {_fmt(pose.theta)}")
 
-    for lineno, raw in enumerate(stdin, start=1):
+    for lineno, raw in enumerate(sys.stdin, start=1):
         line = raw.strip()
         if not line:
             continue
         parts = line.split()
         tag = parts[0]
         try:
-            if tag == "ODOM":
-                if len(parts) != 5:
-                    raise ValidationError("ODOM needs ts dx dy dtheta")
-                ts, dx, dy, dth = (float(p) for p in parts[1:])
-                driver.add_odometry(OdometrySample(timestamp=ts, delta=Pose2(dx, dy, dth)))
-            elif tag == "MEAS":
-                if len(parts) != 5:
-                    raise ValidationError("MEAS needs ts x y theta")
-                ts, x, y, th = (float(p) for p in parts[1:])
-                driver.add_measurement(ts, Pose2(x, y, th))
-                key = len(driver.frame_ts) - 1
-                emit_pose(ts, key, driver.online[-1])
-            elif tag == "PRIOR":
-                if len(parts) != 4:
-                    raise ValidationError("PRIOR needs x y theta")
-                x, y, th = (float(p) for p in parts[1:])
-                driver.set_prior(Pose2(x, y, th))
-            elif tag == "FLUSH":
-                if driver.frame_ts:
-                    est = driver.estimate_record()
-                    for key, (ts, pose) in enumerate(est):
-                        emit_pose(ts, key, pose)
-            else:
+            if tag == "FLUSH":
+                for key, (ts, pose) in enumerate(driver.estimate_record() if driver.frame_ts else ()):
+                    emit_pose(ts, key, pose)
+                continue
+            if tag not in _STREAM_ARGS:
                 raise ValidationError(f"unknown command {tag!r}")
-        except (ValidationError, ValueError, GaugeError) as exc:
+            if len(parts) != len(_STREAM_ARGS[tag].split()) + 1:
+                raise ValidationError(f"{tag} needs {_STREAM_ARGS[tag]}")
+            v = [float(p) for p in parts[1:]]
+            if tag == "ODOM":
+                driver.add_odometry(OdometrySample(timestamp=v[0], delta=Pose2(*v[1:])))
+            elif tag == "MEAS":
+                driver.add_measurement(v[0], Pose2(*v[1:]))
+                emit_pose(v[0], len(driver.frame_ts) - 1, driver.online[-1])
+            else:
+                driver.set_prior(Pose2(*v))
+        except (ValueError, GaugeError) as exc:
             emit(f"ERR {lineno} {exc}")
     return 0
 
 
 def _pipeline_single(cfg: RunConfig, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     sim = generate(_sim_config(cfg))
-    write_trajectory_csv(sim.ground_truth, out_dir / "ground_truth.csv")
-    write_trajectory_csv(sim.measurements, out_dir / "measurements.csv")
-    write_odometry_csv(sim.odometry, out_dir / "odometry.csv")
-    _write_json({"x": sim.prior.x, "y": sim.prior.y, "theta": sim.prior.theta}, out_dir / "prior.json")
+    _write_simulation(sim, out_dir)
 
-    driver = _driver_from_config(cfg)
-    driver.set_prior(sim.prior)
-    try:
-        _run_fusion(driver, sim.odometry, sim.measurements)
-    except GaugeError as exc:
-        raise GaugeError(f"fusion failed at frame {len(driver.frame_ts)}: {exc}") from None
-    _write_fusion_outputs(driver, out_dir)
+    driver = _fuse(cfg, sim.prior, sim.odometry, sim.measurements, out_dir)
 
     evaluation = _evaluation_report(
         driver.estimate_record(),
@@ -493,16 +464,14 @@ def _pipeline_single(cfg: RunConfig, out_dir: Path) -> dict:
 
 def cmd_pipeline(args) -> int:
     cfg = _resolve_config(args)
-    n_seeds = args.seeds if args.seeds is not None else 1
-    if n_seeds < 1:
-        raise ValidationError(f"--seeds must be >= 1, got {n_seeds}")
+    if args.seeds < 1:
+        raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
     out_dir = Path(cfg.out_dir)
-    if n_seeds == 1:
+    if args.seeds == 1:
         summary = _pipeline_single(cfg, out_dir)
     else:
-        runs = []
-        for seed in range(cfg.seed, cfg.seed + n_seeds):
-            runs.append(_pipeline_single(replace(cfg, seed=seed), out_dir / f"seed_{seed}"))
+        seeds = range(cfg.seed, cfg.seed + args.seeds)
+        runs = [_pipeline_single(replace(cfg, seed=seed), out_dir / f"seed_{seed}") for seed in seeds]
         ratios_t = [r["ratio_translation"] for r in runs if r["ratio_translation"] is not None]
         ratios_r = [r["ratio_rotation"] for r in runs if r["ratio_rotation"] is not None]
         summary = {
@@ -510,47 +479,16 @@ def cmd_pipeline(args) -> int:
             "median_ratio_translation": statistics.median(ratios_t) if ratios_t else None,
             "median_ratio_rotation": statistics.median(ratios_r) if ratios_r else None,
         }
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(summary, out_dir / "summary.json")
     return 0
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    flag_specs = {
-        "seed": dict(type=int),
-        "n_frames": dict(type=int),
-        "odom_rate_multiplier": dict(type=int),
-        "extent": dict(type=_parse_pair, metavar="W,H"),
-        "mean_speed": dict(type=float),
-        "measurement_noise": dict(type=_parse_triple, metavar="SX,SY,STHETA"),
-        "odometry_step_noise": dict(type=_parse_triple, metavar="SX,SY,STHETA"),
-        "outlier_rate": dict(type=float),
-        "outlier_sigma_scale": dict(type=float),
-        "bad_prior_offset": dict(type=_parse_triple, metavar="X,Y,THETA"),
-        "measurement_sigmas": dict(type=_parse_triple, metavar="SX,SY,STHETA"),
-        "odometry_sigmas": dict(type=_parse_triple, metavar="SX,SY,STHETA"),
-        "prior_sigmas": dict(type=_parse_triple, metavar="SX,SY,STHETA"),
-        "skip_first": dict(type=int),
-        "out_dir": dict(type=str),
-    }
+def _add_config_flags(p: argparse.ArgumentParser, *groups: str) -> None:
+    """--config, then a flag for each RunConfig field of the given groups, in field order."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    for name in names:
-        p.add_argument(f"--{name.replace('_', '-')}", default=None, **flag_specs[name])
-
-
-_SIM_FLAGS = (
-    "seed",
-    "n_frames",
-    "odom_rate_multiplier",
-    "extent",
-    "mean_speed",
-    "measurement_noise",
-    "odometry_step_noise",
-    "outlier_rate",
-    "outlier_sigma_scale",
-    "bad_prior_offset",
-)
-_FUSE_FLAGS = ("measurement_sigmas", "odometry_sigmas", "prior_sigmas")
+    for name, f in _FIELDS.items():
+        if f.metadata["group"] in groups:
+            p.add_argument(f"--{name.replace('_', '-')}", type=_flag_type(f), metavar=f.metadata["metavar"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,55 +499,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
-    _add_config_flags(p, *_SIM_FLAGS, "out_dir")
+    _add_config_flags(p, "sim", "out")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fuse", help="fuse odometry and measurement files")
     p.add_argument("--odometry", required=True)
     p.add_argument("--measurements", required=True)
     p.add_argument("--prior", help="prior pose JSON ({x, y, theta})")
-    _add_config_flags(p, *_FUSE_FLAGS, "out_dir")
+    _add_config_flags(p, "fuse", "out")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("evaluate", help="compare an estimate against ground truth")
     p.add_argument("--estimate", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--baseline", help="raw measurement file for improvement ratios")
-    p.add_argument("--skip-first", type=int, default=None, metavar="N")
+    p.add_argument("--skip-first", type=int, default=0, metavar="N")
     p.add_argument("--max-dt", type=float, default=DEFAULT_MAX_DT)
     p.add_argument("--per-pose", metavar="PATH", help="write per-pose errors to this CSV")
     p.add_argument("--out", metavar="PATH", help="write the report JSON here instead of stdout")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("stream", help="line-protocol fusion on stdin/stdout")
-    _add_config_flags(p, *_FUSE_FLAGS)
+    _add_config_flags(p, "fuse")
     p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("pipeline", help="simulate, fuse, and evaluate in one run")
-    _add_config_flags(p, *_SIM_FLAGS, *_FUSE_FLAGS, "skip_first", "out_dir")
-    p.add_argument("--seeds", type=int, default=None, metavar="N", help="run N consecutive seeds")
+    _add_config_flags(p, "sim", "fuse", "evaluate", "out")
+    p.add_argument("--seeds", type=int, default=1, metavar="N", help="run N consecutive seeds")
     p.set_defaults(func=cmd_pipeline)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, GaugeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GaugeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

@@ -156,6 +156,14 @@ def read_odometry_csv(path) -> list[OdometrySample]:
     return samples
 
 
+def write_odometry_csv(samples, path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(ODOMETRY_DELTA_HEADER) + "\n")
+        for s in samples:
+            d = s.delta
+            fh.write(f"{_fmt(s.timestamp)},{_fmt(d.x)},{_fmt(d.y)},{_fmt(d.theta)}\n")
+
+
 def associate(a: TrajectoryRecord, b: TrajectoryRecord, max_dt: float = DEFAULT_MAX_DT) -> list[tuple[int, int]]:
     """Greedy nearest-timestamp matching; each index used at most once.
 

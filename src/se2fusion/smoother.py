@@ -279,6 +279,11 @@ class _Store:
         self.view()
         self._put(rows)
 
+    def truncate(self, n: int) -> None:
+        """Keep the first n rows."""
+        self.view()
+        self.n = n
+
     def view(self) -> np.ndarray:
         if self._tail:
             tail, self._tail = self._tail, []
@@ -366,6 +371,40 @@ class Smoother:
         else:
             raise TypeError(f"unsupported factor type {type(factor).__name__}")
         self._factors.append(factor)
+
+    def checkpoint(self) -> tuple:
+        """A mark of the graph and the estimate, for truncate() to return to."""
+        sizes = (len(self._factors), len(self._un_keys), len(self._bt_from))
+        solved = (self._n_solved, self._updated, self._estimate_version, self._marginal_cache)
+        return sizes + (self._x.view().copy(), tuple(self._pending), solved)
+
+    def truncate(self, mark: tuple) -> None:
+        """Drop every variable and factor added since checkpoint() gave mark, and any estimate since.
+
+        The stores only grow, so this shortens them and restores the estimate.
+        """
+        n_factors, n_un, n_bt, x, pending, solved = mark
+        self._n = len(x)
+        self._x.truncate(self._n)
+        self._x.view()[:] = x
+        del self._valued[self._n :]
+        # a failed update() may have given the pending variables values
+        for key in pending:
+            self._valued[key] = False
+        self._pending = list(pending)
+        del self._factors[n_factors:]
+        for store in (self._un_keys, self._un_vals, self._un_info):
+            store.truncate(n_un)
+        for store in (self._bt_from, self._bt_to, self._bt_rel, self._bt_info):
+            store.truncate(n_bt)
+        spans = np.abs(self._bt_to.view() - self._bt_from.view())
+        self._max_span = int(spans.max(initial=0))
+        self._first_between_to = {}
+        for factor in self._factors:
+            if isinstance(factor, BetweenFactor):
+                self._first_between_to.setdefault(factor.key_to, (factor.key_from, factor.relative))
+        self._pattern_cache = None
+        self._n_solved, self._updated, self._estimate_version, self._marginal_cache = solved
 
     def graph(self) -> FactorGraph:
         """Snapshot of the accumulated factors."""

@@ -4,10 +4,12 @@ import io
 import json
 import math
 import sys
+from dataclasses import fields, replace
 
 import pytest
 
 from se2fusion import Pose2, read_trajectory_csv
+from se2fusion.cli import RunConfig, _resolve_config, build_parser
 from se2fusion.cli import main as cli_main
 from support import pose_diff
 
@@ -322,6 +324,17 @@ def test_stream_rejects_non_finite_timestamp_and_keeps_going(monkeypatch, capsys
     assert (tag, float(ts), key) == ("EST", 0.1, "0")
 
 
+def test_stream_rejected_fix_leaves_state_unchanged(monkeypatch, capsys):
+    lines = ["PRIOR 0 0 0", "MEAS 0 0 0 0", "ODOM 0.05 1 0 0"]
+    lines += ["MEAS 0.1 1e300 1e300 0", "MEAS 0.2 1 0 0", "FLUSH"]
+    out = run_stream(monkeypatch, capsys, lines)
+    assert out[1].startswith("ERR 4 ")
+    tag, ts, key, *_ = out[2].split()
+    assert (tag, float(ts), key) == ("EST", 0.2, "1")
+    # the odometry the rejected fix consumed goes to the next one
+    assert out[:1] + out[2:] == run_stream(monkeypatch, capsys, lines[:3] + lines[4:])
+
+
 def test_stream_flush_without_frames_is_silent(monkeypatch, capsys):
     out = run_stream(monkeypatch, capsys, ["FLUSH"])
     assert out == []
@@ -372,12 +385,51 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 1
 
 
-def test_config_rejects_bad_types(tmp_path):
+def test_config_rejects_bad_types(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_frames": "many"}))
     assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 1
     cfg.write_text("not json at all")
     assert run("simulate", "--config", cfg, "--out-dir", tmp_path) == 1
+    for bad in ({"odometry_sigmas": [1, 1, 0]}, {"extent": [1.0]}, {"seed": True}, {"bad_prior_offset": 1.0}):
+        cfg.write_text(json.dumps(bad))
+        assert run("pipeline", "--config", cfg, "--out-dir", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "error: odometry_sigmas: " in err and "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def _flag_text(value):
+    return ",".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+
+
+def _other_value(f):
+    """A value for RunConfig field f other than its default."""
+    if f.default is None:
+        return (0.5, -1.0, 0.25)
+    if isinstance(f.default, tuple):
+        return tuple(x + 0.25 for x in f.default)
+    return "elsewhere" if isinstance(f.default, str) else f.default + 3
+
+
+@pytest.mark.parametrize("f", fields(RunConfig), ids=lambda f: f.name)
+def test_flag_and_config_key_resolve_alike(tmp_path, f):
+    value = _other_value(f)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({f.name: list(value) if isinstance(value, tuple) else value}))
+    flag = f"--{f.name.replace('_', '-')}"
+    by_flag = _resolve_config(build_parser().parse_args(["pipeline", flag, _flag_text(value)]))
+    by_key = _resolve_config(build_parser().parse_args(["pipeline", "--config", str(cfg)]))
+    assert by_flag == replace(RunConfig(), **{f.name: value}) != RunConfig()
+    # repr tells 3 from 3.0
+    assert repr(by_key) == repr(by_flag)
+
+
+def test_config_null_offset_is_the_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bad_prior_offset": None, "extent": [300, 150]}))
+    resolved = _resolve_config(build_parser().parse_args(["pipeline", "--config", str(cfg)]))
+    assert repr(resolved) == repr(RunConfig())
 
 
 # ---- exit codes --------------------------------------------------------------
@@ -405,11 +457,31 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_invalid_sim_parameters_fail_cleanly(tmp_path):
+def test_invalid_sim_parameters_fail_cleanly(tmp_path, monkeypatch, capsys):
     assert run("simulate", "--n-frames", 1, "--out-dir", tmp_path) == 1
     assert run("simulate", "--outlier-rate", "1.5", "--out-dir", tmp_path) == 1
+    assert run("simulate", "--measurement-noise", "0,1,1", "--out-dir", tmp_path) == 1
+    assert run("simulate", "--bad-prior-offset", "nan,0,0", "--out-dir", tmp_path) == 1
+    data = simulate(tmp_path / "data", "--n-frames", 20)
+    code = run(
+        "fuse",
+        "--odometry", data / "odometry.csv",
+        "--measurements", data / "measurements.csv",
+        "--measurement-sigmas", "0,1,1",
+        "--out-dir", tmp_path / "out",
+    )
+    assert code == 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO("MEAS 0 0 0 0\n"))
+    assert run("stream", "--prior-sigmas", "1,-1,1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: ") == 6 and "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_skip_first_rejected(tmp_path):
     code = run("pipeline", "--n-frames", 50, "--skip-first", -1, "--out-dir", tmp_path)
     assert code == 1
+    traj = tmp_path / "t.csv"
+    _write_traj(traj, [(0.1 * i, i, 0, 0) for i in range(20)])
+    assert run("evaluate", "--estimate", traj, "--truth", traj, "--skip-first", -1) == 1

@@ -593,3 +593,64 @@ def test_incremental_pattern_matches_one_built_from_scratch():
             assert not np.array_equal(pattern["csc"][: len(old)], old)
         elif keys == "same":
             assert np.array_equal(pattern["csc"], old)
+
+
+def _chain(n):
+    """n poses with fixes and odometry, solved in banded mode."""
+    s = Smoother()
+    for k in range(n):
+        s.add_variable()
+        s.add_factor(MeasurementFactor(k, Pose2(k, 0, 0), UNIT))
+        if k:
+            s.add_factor(BetweenFactor(k - 1, k, Pose2(1, 0, 0), UNIT))
+    s.update()
+    return s
+
+
+def _solve_pending_pair(s, a):
+    """Factors on the pending poses a and a + 1, then update; a's first odometry edge comes from a + 1."""
+    s.add_factor(BetweenFactor(a + 1, a, Pose2(-0.5, 0.2, 0.1), UNIT))
+    s.add_factor(BetweenFactor(a, a + 1, Pose2(0.5, -0.2, -0.1), UNIT))
+    s.add_factor(BetweenFactor(a - 1, a, Pose2(1.0, 0.0, 0.0), UNIT))
+    s.add_factor(MeasurementFactor(a + 1, Pose2(a + 1.0, 0.0, 0.0), UNIT))
+    s.update()
+
+
+def test_truncate_returns_to_the_checkpoint():
+    s, fresh = _chain(20), _chain(20)
+    estimate = s.estimate()
+    for sm in (s, fresh):
+        a = sm.add_variable()
+        sm.add_variable()
+    mark = s.checkpoint()
+    # a failed update gives the pending poses values
+    s.add_factor(MeasurementFactor(a - 1, Pose2(1e300, 0.0, 0.0), UNIT))
+    with pytest.raises(GaugeError):
+        s.update()
+    s.truncate(mark)
+    assert s.estimate() == estimate
+    # growing again matches a smoother that never saw what was dropped
+    for sm in (s, fresh):
+        _solve_pending_pair(sm, a)
+    assert s.estimate() == fresh.estimate()
+
+    # a solved loop closure flips to sparse; dropping it returns to the band
+    estimate, sigma = s.estimate(), s.marginal_sigma(a)
+    mark = s.checkpoint()
+    k = s.add_variable()
+    s.add_factor(BetweenFactor(0, k, Pose2(k, 0.0, 0.0), UNIT))
+    s.add_factor(MeasurementFactor(k, Pose2(k, 0.0, 0.0), UNIT))
+    s.update()
+    assert s._pattern()["mode"] == "sparse"
+    s.marginal_sigma(k)
+    s.truncate(mark)
+    assert s.graph().factors == fresh.graph().factors
+    assert s.estimate() == estimate
+    assert s.marginal_sigma(a) == sigma
+    for sm in (s, fresh):
+        k = sm.add_variable()
+        sm.add_factor(BetweenFactor(k - 1, k, Pose2(1.0, 0.0, 0.0), UNIT))
+        sm.add_factor(MeasurementFactor(k, Pose2(k, 1.0, 0.0), UNIT))
+        sm.update()
+    assert s._pattern()["mode"] == "banded"
+    assert s.estimate() == fresh.estimate()
