@@ -2,7 +2,7 @@
 
 from .geometry import Pose2, Twist2, normalize_angle
 from .noise import DiagonalNoise, MEASUREMENT_DEFAULT, ODOMETRY_DEFAULT, PRIOR_DEFAULT
-from .factors import BetweenFactor, FactorGraph, MeasurementFactor, PriorFactor
+from .factors import BetweenFactor, MeasurementFactor, PriorFactor
 from .smoother import GaugeError, Smoother, SmootherSettings, SolveReport
 from .odometry import AccumulatedEdge, OdometrySample, accumulate
 from .simulate import SimConfig, SimOutput, generate, raw_measurement_rmse
@@ -24,7 +24,6 @@ __all__ = [
     "BetweenFactor",
     "DiagonalNoise",
     "ErrorReport",
-    "FactorGraph",
     "FormatError",
     "GaugeError",
     "MEASUREMENT_DEFAULT",

@@ -16,9 +16,10 @@ from pathlib import Path
 
 from .dataset import (
     DEFAULT_MAX_DT,
+    ErrorReport,
     TrajectoryRecord,
     _fmt,
-    associate,
+    associate,  # not called here; kept for code that wraps cli's names, as bench/tracing.py does
     compute_errors,
     read_odometry_csv,
     read_trajectory_csv,
@@ -347,7 +348,8 @@ def _evaluation_report(
     baseline: TrajectoryRecord | None,
     skip_first: int,
     max_dt: float,
-) -> dict:
+) -> tuple[dict, ErrorReport]:
+    """The evaluation JSON, and the estimate's ErrorReport, which per-pose rows reuse."""
     report = compute_errors(_skip_first(estimate, skip_first), truth, max_dt)
     out = {
         "rmse_translation_m": report.rmse_translation,
@@ -365,21 +367,19 @@ def _evaluation_report(
         out["improvement_ratio"] = (
             f"{ratio_t:.3f}/{ratio_r:.3f}" if ratio_t is not None and ratio_r is not None else None
         )
-    return out
+    return out, report
 
 
 def cmd_evaluate(args) -> int:
     estimate = read_trajectory_csv(args.estimate)
     truth = read_trajectory_csv(args.truth)
     baseline = read_trajectory_csv(args.baseline) if args.baseline else None
-    out = _evaluation_report(estimate, truth, baseline, args.skip_first, args.max_dt)
+    out, report = _evaluation_report(estimate, truth, baseline, args.skip_first, args.max_dt)
     if args.per_pose:
         est = _skip_first(estimate, args.skip_first)
-        report = compute_errors(est, truth, args.max_dt)
-        pairs = associate(est, truth, args.max_dt)
         with open(args.per_pose, "w", newline="") as fh:
             fh.write("timestamp,translation_error_m,rotation_error_deg\n")
-            for (i, _j), te, re in zip(pairs, report.translation_errors, report.rotation_errors_deg):
+            for (i, _j), te, re in zip(report.pairs, report.translation_errors, report.rotation_errors_deg):
                 fh.write(f"{_fmt(est[i][0])},{_fmt(te)},{_fmt(re)}\n")
     if args.out:
         _write_json(out, args.out)
@@ -437,7 +437,7 @@ def _pipeline_single(cfg: RunConfig, out_dir: Path) -> dict:
 
     driver = _fuse(cfg, sim.prior, sim.odometry, sim.measurements, out_dir)
 
-    evaluation = _evaluation_report(
+    evaluation, _ = _evaluation_report(
         driver.estimate_record(),
         sim.ground_truth,
         sim.measurements,

@@ -66,6 +66,8 @@ class ErrorReport:
     translation_errors: tuple[float, ...]
     rotation_errors_deg: tuple[float, ...]
     n_poses: int
+    # (estimate index, reference index) of each pose the errors are over
+    pairs: tuple[tuple[int, int], ...]
 
 
 def _fmt(v: float) -> str:
@@ -217,4 +219,5 @@ def compute_errors(
         translation_errors=tuple(trans),
         rotation_errors_deg=tuple(rot),
         n_poses=n,
+        pairs=tuple(pairs),
     )

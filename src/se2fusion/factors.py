@@ -1,15 +1,22 @@
-"""Factor types for SE(2) pose graphs.
+"""Factor types for SE(2) pose graphs, and the Jacobian kernels the smoother runs.
 
 Residuals live in the tangent space: for an expected pose E and an actual
 pose A the residual is log(E^-1 * A), so a satisfied factor has residual
 zero and angle wrap is handled by the group operations. Jacobians are taken
-with respect to right perturbations X * exp(delta) of each involved pose.
+with respect to right perturbations X * exp(delta) of each involved pose
+(Sola et al., "A micro Lie theory for state estimation in robotics", 2018).
+
+The derivative of the log is implemented once, vectorized over factors:
+_half_cot, _v_dlog and _v_chain_from. The smoother linearizes the whole
+graph with them, and each factor's jacobians() runs them on one-row arrays.
+residual() stays scalar, on geometry.py's group operations; central finite
+differences of it are the independent reference these Jacobians are tested
+against.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
@@ -27,50 +34,48 @@ def _lookup(values: Mapping[int, Pose2], key: int) -> Pose2:
         raise KeyError(f"no value for variable {key}") from None
 
 
-def _differential_of_log(z: Pose2) -> np.ndarray:
-    """d/d(delta) of log(z * exp(delta)) at delta = 0, as a 3x3 matrix.
+def _half_cot(th: np.ndarray) -> np.ndarray:
+    """A = (th/2) cot(th/2); log's translation is [[A, th/2], [-th/2, A]] t."""
+    small = np.abs(th) < 1e-4
+    safe = np.where(small, 1.0, 0.5 * th)
+    return np.where(small, 1.0 - th * th / 12.0, safe / np.tan(safe))
 
-    Writing z = (t, theta) and log translation as Vinv(theta) t, the
-    derivative splits into a block Vinv(theta) R(theta) for the translation
-    directions and a column d(Vinv)/d(theta) t for the rotation direction.
+
+def _v_dlog(z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized derivative of log(z * exp(delta)) at delta = 0, given A of z.
+
+    The derivative is [[p, q, e], [-q, p, f], [0, 0, 1]]: its translation
+    block is the log's [[A, th/2], [-th/2, A]] times the rotation of z, which
+    is again a scaled rotation, so only (p, q, e, f) are returned.
     """
-    theta = z.theta
-    if abs(theta) < 1e-4:
-        # cubic series of a = sin/t, b = (1-cos)/t and their derivatives
-        t2 = theta * theta
-        a = 1.0 - t2 / 6.0
-        b = 0.5 * theta - theta * t2 / 24.0
-        da = -theta / 3.0 + theta * t2 / 30.0
-        db = 0.5 - t2 / 8.0
-    else:
-        s = math.sin(theta)
-        c = math.cos(theta)
-        a = s / theta
-        h = math.sin(0.5 * theta)
-        b = 2.0 * h * h / theta
-        da = (theta * c - s) / (theta * theta)
-        db = (theta * s - (2.0 * h * h)) / (theta * theta)
-    det = a * a + b * b
-    # Vinv = [[a, b], [-b, a]] / det, R = [[c, -s], [s, c]]
-    c = math.cos(theta)
-    s = math.sin(theta)
-    m00 = (a * c + b * s) / det
-    m01 = (-a * s + b * c) / det
-    m10 = (-b * c + a * s) / det
-    m11 = (b * s + a * c) / det
-    # W = d(Vinv)/d(theta) t = (dVinv) applied to the translation of z
-    dda = (da * det - a * (2.0 * a * da + 2.0 * b * db)) / (det * det)
-    ddb = (db * det - b * (2.0 * a * da + 2.0 * b * db)) / (det * det)
-    w0 = dda * z.x + ddb * z.y
-    w1 = -ddb * z.x + dda * z.y
-    return np.array([[m00, m01, w0], [m10, m11, w1], [0.0, 0.0, 1.0]])
+    th = z[:, 2]
+    half = 0.5 * th
+    small = np.abs(th) < 1e-4
+    da = np.where(small, -th / 6.0, (a * (1.0 - a) - half * half) / np.where(small, 1.0, th))
+    return a, -half, da * z[:, 0] + 0.5 * z[:, 1], da * z[:, 1] - 0.5 * z[:, 0]
 
 
-def _adjoint(p: Pose2) -> np.ndarray:
-    """Adjoint of SE(2): exp(Ad_p v) = p exp(v) p^-1."""
-    c = math.cos(p.theta)
-    s = math.sin(p.theta)
-    return np.array([[c, -s, p.y], [s, c, -p.x], [0.0, 0.0, 1.0]])
+def _v_chain_from(jt: tuple, actual: np.ndarray) -> tuple:
+    """(p, q, e, f) of jt @ Ad(actual^-1); a between factor's J_from is its negative."""
+    p, q, e, f = jt
+    c = np.cos(actual[:, 2])
+    s = np.sin(actual[:, 2])
+    # translation of actual^-1
+    ix = -(c * actual[:, 0] + s * actual[:, 1])
+    iy = s * actual[:, 0] - c * actual[:, 1]
+    return p * c - q * s, p * s + q * c, p * iy - q * ix + e, f - q * iy - p * ix
+
+
+def _dlog(z: Pose2) -> tuple:
+    """_v_dlog of the single pose error z."""
+    zs = np.array([z.as_tuple()])
+    return _v_dlog(zs, _half_cot(zs[:, 2]))
+
+
+def _matrix(j: tuple) -> np.ndarray:
+    """The 3x3 Jacobian that the one-row (p, q, e, f) stands for."""
+    p, q, e, f = (float(v[0]) for v in j)
+    return np.array([[p, q, e], [-q, p, f], [0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,7 @@ class PriorFactor:
         return self.prior.between(_lookup(values, self.key)).log()
 
     def jacobians(self, values: Mapping[int, Pose2]) -> dict[VariableKey, np.ndarray]:
-        z = self.prior.between(_lookup(values, self.key))
-        return {self.key: _differential_of_log(z)}
+        return {self.key: _matrix(_dlog(self.prior.between(_lookup(values, self.key))))}
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,7 @@ class MeasurementFactor:
         return self.measured.between(_lookup(values, self.key)).log()
 
     def jacobians(self, values: Mapping[int, Pose2]) -> dict[VariableKey, np.ndarray]:
-        z = self.measured.between(_lookup(values, self.key))
-        return {self.key: _differential_of_log(z)}
+        return {self.key: _matrix(_dlog(self.measured.between(_lookup(values, self.key))))}
 
 
 @dataclass(frozen=True)
@@ -132,42 +135,10 @@ class BetweenFactor:
         return self.relative.between(actual).log()
 
     def jacobians(self, values: Mapping[int, Pose2]) -> dict[VariableKey, np.ndarray]:
-        x_from = _lookup(values, self.key_from)
-        x_to = _lookup(values, self.key_to)
-        actual = x_from.between(x_to)
-        z = self.relative.between(actual)
-        d = _differential_of_log(z)
-        return {
-            self.key_to: d,
-            self.key_from: -d @ _adjoint(actual.inverse()),
-        }
+        actual = _lookup(values, self.key_from).between(_lookup(values, self.key_to))
+        jt = _dlog(self.relative.between(actual))
+        jf = _v_chain_from(jt, np.array([actual.as_tuple()]))
+        return {self.key_to: _matrix(jt), self.key_from: -_matrix(jf)}
 
 
 Factor = Union[PriorFactor, MeasurementFactor, BetweenFactor]
-
-
-@dataclass
-class FactorGraph:
-    """Ordered collection of factors over densely keyed pose variables."""
-
-    num_variables: int = 0
-    factors: list[Factor] = field(default_factory=list)
-
-    def add_variable(self) -> VariableKey:
-        key = self.num_variables
-        self.num_variables += 1
-        return key
-
-    def add(self, factor: Factor) -> None:
-        for key in factor.keys():
-            if not 0 <= key < self.num_variables:
-                raise KeyError(f"factor references unknown variable {key}")
-        self.factors.append(factor)
-
-    def is_gauge_fixed(self) -> bool:
-        """True when at least one factor constrains an absolute pose."""
-        return any(isinstance(f, (PriorFactor, MeasurementFactor)) for f in self.factors)
-
-    def total_error(self, values: Mapping[int, Pose2]) -> float:
-        """Half the sum of squared whitened residuals over all factors."""
-        return 0.5 * sum(f.noise.mahalanobis_sq(f.residual(values)) for f in self.factors)

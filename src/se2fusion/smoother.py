@@ -2,12 +2,13 @@
 
 update() runs damped Gauss-Newton on the full graph, warm-started from the
 current estimate, so after every update the result matches a from-scratch
-batch solve of the same factors. Linearization is vectorized over factors;
-every factor Jacobian has a scaled-rotation translation block, so each
-normal-equation entry is a short closed form on per-factor arrays. The
-whitened normal equations are solved with a banded Cholesky when
-every between factor joins nearby keys (the streaming chain case), falling
-back to a sparse symmetric-mode LU for general graphs.
+batch solve of the same factors. Linearization is vectorized over factors,
+with the Jacobian kernels of factors.py. Every factor Jacobian has a
+scaled-rotation translation block, so each normal-equation entry is a short
+closed form on per-factor arrays. The whitened normal equations are solved
+with a banded Cholesky when every between factor joins nearby keys (the
+streaming chain case), falling back to a sparse symmetric-mode LU for
+general graphs.
 
 The index pattern that scatters those entries into H and g is append-only.
 The factor stores only grow, so an update places the entries of the new
@@ -32,7 +33,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .factors import BetweenFactor, Factor, FactorGraph, MeasurementFactor, PriorFactor
+from .factors import BetweenFactor, Factor, MeasurementFactor, PriorFactor, _half_cot, _v_chain_from, _v_dlog
 from .geometry import Pose2
 
 _TWO_PI = 2.0 * np.pi
@@ -123,13 +124,6 @@ def _v_exp(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _half_cot(th: np.ndarray) -> np.ndarray:
-    """A = (th/2) cot(th/2); log's translation is [[A, th/2], [-th/2, A]] t."""
-    small = np.abs(th) < 1e-4
-    safe = np.where(small, 1.0, 0.5 * th)
-    return np.where(small, 1.0 - th * th / 12.0, safe / np.tan(safe))
-
-
 def _v_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized log, and its coefficient A for _v_dlog to reuse."""
     half = 0.5 * p[:, 2]
@@ -161,31 +155,6 @@ def _v_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[:, 1] = a[:, 1] + s * b[:, 0] + c * b[:, 1]
     out[:, 2] = _wrap(a[:, 2] + b[:, 2])
     return out
-
-
-def _v_dlog(z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized derivative of log(z * exp(delta)) at delta = 0, given A of z.
-
-    The derivative is [[p, q, e], [-q, p, f], [0, 0, 1]]: its translation
-    block is the log's [[A, th/2], [-th/2, A]] times the rotation of z, which
-    is again a scaled rotation, so only (p, q, e, f) are returned.
-    """
-    th = z[:, 2]
-    half = 0.5 * th
-    small = np.abs(th) < 1e-4
-    da = np.where(small, -th / 6.0, (a * (1.0 - a) - half * half) / np.where(small, 1.0, th))
-    return a, -half, da * z[:, 0] + 0.5 * z[:, 1], da * z[:, 1] - 0.5 * z[:, 0]
-
-
-def _v_chain_from(jt: tuple, actual: np.ndarray) -> tuple:
-    """(p, q, e, f) of jt @ Ad(actual^-1); a between factor's J_from is its negative."""
-    p, q, e, f = jt
-    c = np.cos(actual[:, 2])
-    s = np.sin(actual[:, 2])
-    # translation of actual^-1
-    ix = -(c * actual[:, 0] + s * actual[:, 1])
-    iy = s * actual[:, 0] - c * actual[:, 1]
-    return p * c - q * s, p * s + q * c, p * iy - q * ix + e, f - q * iy - p * ix
 
 
 def _info_sym(info: np.ndarray, j: tuple) -> list[np.ndarray]:
@@ -314,8 +283,8 @@ class Smoother:
         self._x = _Store(width=3)
         self._valued: list[bool] = []
         self._pending: list[int] = []
-        self._factors: list[Factor] = []
-        self._first_between_to: dict[int, tuple[int, Pose2]] = {}
+        # each key's first between factor into it, as a row of the _bt stores
+        self._first_between_to: dict[int, int] = {}
         self._max_span = 0
         # unary store holds priors and measurements together; the residual
         # and jacobian math is identical for both. *_info holds 1 / sigma^2.
@@ -362,19 +331,18 @@ class Smoother:
             self._un_info.append(info)
         elif isinstance(factor, BetweenFactor):
             f, t = factor.key_from, factor.key_to
+            self._first_between_to.setdefault(t, len(self._bt_from))
             self._bt_from.append(f)
             self._bt_to.append(t)
             self._bt_rel.append(factor.relative.as_tuple())
             self._bt_info.append(info)
             self._max_span = max(self._max_span, abs(t - f))
-            self._first_between_to.setdefault(t, (f, factor.relative))
         else:
             raise TypeError(f"unsupported factor type {type(factor).__name__}")
-        self._factors.append(factor)
 
     def checkpoint(self) -> tuple:
         """A mark of the graph and the estimate, for truncate() to return to."""
-        sizes = (len(self._factors), len(self._un_keys), len(self._bt_from))
+        sizes = (len(self._un_keys), len(self._bt_from))
         solved = (self._n_solved, self._updated, self._estimate_version, self._marginal_cache)
         return sizes + (self._x.view().copy(), tuple(self._pending), solved)
 
@@ -383,7 +351,7 @@ class Smoother:
 
         The stores only grow, so this shortens them and restores the estimate.
         """
-        n_factors, n_un, n_bt, x, pending, solved = mark
+        n_un, n_bt, x, pending, solved = mark
         self._n = len(x)
         self._x.truncate(self._n)
         self._x.view()[:] = x
@@ -392,23 +360,15 @@ class Smoother:
         for key in pending:
             self._valued[key] = False
         self._pending = list(pending)
-        del self._factors[n_factors:]
         for store in (self._un_keys, self._un_vals, self._un_info):
             store.truncate(n_un)
         for store in (self._bt_from, self._bt_to, self._bt_rel, self._bt_info):
             store.truncate(n_bt)
         spans = np.abs(self._bt_to.view() - self._bt_from.view())
         self._max_span = int(spans.max(initial=0))
-        self._first_between_to = {}
-        for factor in self._factors:
-            if isinstance(factor, BetweenFactor):
-                self._first_between_to.setdefault(factor.key_to, (factor.key_from, factor.relative))
+        self._first_between_to = {k: row for k, row in self._first_between_to.items() if row < n_bt}
         self._pattern_cache = None
         self._n_solved, self._updated, self._estimate_version, self._marginal_cache = solved
-
-    def graph(self) -> FactorGraph:
-        """Snapshot of the accumulated factors."""
-        return FactorGraph(num_variables=self._n, factors=list(self._factors))
 
     # ---- estimates ----------------------------------------------------------
 
@@ -431,11 +391,12 @@ class Smoother:
 
     def _activate_pending(self) -> None:
         x = self._x.view()
+        bt_from, bt_rel = self._bt_from.view(), self._bt_rel.view()
         for key in self._pending:
-            edge = self._first_between_to.get(key)
-            if edge is not None and self._valued[edge[0]]:
-                base = self._pose_at(edge[0])
-                x[key] = base.compose(edge[1]).as_tuple()
+            row = self._first_between_to.get(key)
+            if row is not None and self._valued[bt_from[row]]:
+                base = self._pose_at(bt_from[row])
+                x[key] = base.compose(Pose2(*bt_rel[row].tolist())).as_tuple()
             elif key > 0 and self._valued[key - 1]:
                 x[key] = x[key - 1]
             else:
@@ -617,12 +578,13 @@ class Smoother:
             raise GaugeError(f"factor error at the start point is not finite: {err}")
         history = [err]
         iterations = 0
+        fact = None
         converged = err <= cfg.absolute_tolerance
         if not converged:
             for _ in range(cfg.max_iterations):
                 system, g = self._linearize(terms, pattern)
-                mode, fact = self._factorize(system, pattern)
-                delta = self._solve(mode, fact, -g)
+                fact = self._factorize(system, pattern)
+                delta = self._solve(*fact, -g)
                 if not np.all(np.isfinite(delta)):
                     raise GaugeError("normal equations produced a non-finite step")
                 alpha = 1.0
@@ -646,12 +608,18 @@ class Smoother:
                 if err <= cfg.absolute_tolerance or decrease <= cfg.relative_tolerance * max(prev, 1e-300):
                     converged = True
                     break
+        if fact is None:
+            # only a factorization shows that the normal equations are
+            # regular, which a variable that no factor touches makes them not
+            fact = self._factorize(self._linearize(terms, pattern)[0], pattern)
         self._x.view()[:] = X
         self._n_solved = self._n
         self._updated = True
         self._estimate_version += 1
-        # the residual terms of the estimate, for marginals to linearize at
-        self._marginal_cache = (self._graph_state(), terms, None)
+        # for marginals: the factorization if no step moved the estimate
+        # since it was made, else the estimate's residual terms
+        at_estimate = (None, fact + (pattern["dim"],)) if iterations == 0 else (terms, None)
+        self._marginal_cache = (self._graph_state(),) + at_estimate
         return SolveReport(
             iterations=iterations,
             initial_error=history[0],
@@ -668,7 +636,8 @@ class Smoother:
         """(mode, factorization, dim) of H at the estimate, cached per graph state.
 
         After update() the cache holds the estimate's residual terms, which
-        the first marginal read factorizes in place of evaluating them again.
+        the first marginal read factorizes in place of evaluating them again,
+        or, when no step moved the estimate, update()'s factorization itself.
         An added factor or variable, or a new estimate, changes the state and
         drops both.
         """

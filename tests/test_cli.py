@@ -223,6 +223,30 @@ def test_evaluate_per_pose_csv(tmp_path, capsys):
     assert float(lines[2].split(",")[1]) == 2.0
 
 
+def test_evaluate_per_pose_associates_each_pair_once(tmp_path, capsys, monkeypatch):
+    from se2fusion import cli, dataset
+
+    real = dataset.associate
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    # compute_errors looks associate up in dataset, and cli imports it by name
+    monkeypatch.setattr(dataset, "associate", counted)
+    monkeypatch.setattr(cli, "associate", counted)
+    truth, est, base, per = (tmp_path / f"{name}.csv" for name in ("truth", "est", "base", "per"))
+    for path in (truth, est, base):
+        _write_traj(path, [(0.1 * i, float(i), 0, 0) for i in range(8)])
+    argv = ["--estimate", est, "--truth", truth, "--baseline", base, "--skip-first", 2, "--per-pose", per]
+    assert run("evaluate", *argv) == 0
+    capsys.readouterr()
+    # one for the estimate and one for the baseline
+    assert len(calls) == 2
+    assert len(per.read_text().splitlines()) == 7
+
+
 # ---- stream ------------------------------------------------------------------
 
 

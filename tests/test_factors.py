@@ -1,4 +1,4 @@
-"""Residual conventions, analytic vs finite-difference jacobians, graph rules."""
+"""Residual conventions, analytic vs finite-difference jacobians, the total error, gauge rules."""
 
 import math
 
@@ -8,10 +8,10 @@ import pytest
 from se2fusion import (
     BetweenFactor,
     DiagonalNoise,
-    FactorGraph,
     MeasurementFactor,
     Pose2,
     PriorFactor,
+    Smoother,
 )
 from support import jacobian_rel_error, make_rng, random_pose
 
@@ -91,36 +91,37 @@ def test_between_rejects_self_edge():
         BetweenFactor(2, 2, Pose2(1, 0, 0), UNIT)
 
 
-def test_graph_add_and_key_validation():
-    g = FactorGraph(num_variables=0, factors=[])
-    k0 = g.add_variable()
-    k1 = g.add_variable()
-    assert (k0, k1) == (0, 1)
-    g.add(PriorFactor(k0, Pose2(0, 0, 0), UNIT))
-    assert len(g.factors) == 1
-    with pytest.raises(KeyError):
-        g.add(BetweenFactor(0, 2, Pose2(1, 0, 0), UNIT))
-    with pytest.raises(KeyError):
-        g.add(MeasurementFactor(7, Pose2(0, 0, 0), UNIT))
-
-
-def test_gauge_fixed_flag():
-    g = FactorGraph(num_variables=0, factors=[])
-    g.add_variable()
-    g.add_variable()
-    g.add(BetweenFactor(0, 1, Pose2(1, 0, 0), UNIT))
-    assert not g.is_gauge_fixed()
-    g.add(MeasurementFactor(0, Pose2(0, 0, 0), UNIT))
-    assert g.is_gauge_fixed()
+def test_jacobians_match_finite_differences_in_the_series_branch():
+    # factor errors whose rotation falls in _v_dlog's |theta| < 1e-4 series
+    # branch, which random poses almost never reach, with long translations
+    # so that an error in the series' coefficient shows
+    rng = make_rng(54)
+    worst = 0.0
+    for theta in (9e-5, 5e-5, 1e-5, -1e-5, -5e-5, -9e-5):
+        for _ in range(10):
+            noise = DiagonalNoise(*rng.uniform(0.5, 2.0, size=3))
+            error = Pose2(*rng.uniform(-100.0, 100.0, size=2), theta)
+            x0 = random_pose(rng)
+            x1 = random_pose(rng)
+            cases = [
+                (PriorFactor(0, x0.compose(error.inverse()), noise), {0: x0}),
+                (MeasurementFactor(0, x0.compose(error.inverse()), noise), {0: x0}),
+                (BetweenFactor(0, 1, x0.between(x1).compose(error.inverse()), noise), {0: x0, 1: x1}),
+            ]
+            for factor, values in cases:
+                assert abs(abs(factor.residual(values).omega) - abs(theta)) < 1e-9
+                worst = max(worst, jacobian_rel_error(factor, values))
+    assert worst <= 1e-8
 
 
 def test_total_error_examples():
-    g = FactorGraph(num_variables=0, factors=[])
-    k = g.add_variable()
+    # the error update() starts from is the sum of the whitened squares
     meas = Pose2(0.0, 0.0, 0.0)
-    g.add(MeasurementFactor(k, meas, UNIT))
-    assert g.total_error({k: meas}) == 0.0
-    assert g.total_error({k: Pose2(3.0, 4.0, 0.0)}) == 12.5
+    for start, want in ((meas, 0.0), (Pose2(3.0, 4.0, 0.0), 12.5)):
+        s = Smoother()
+        k = s.add_variable(start)
+        s.add_factor(MeasurementFactor(k, meas, UNIT))
+        assert s.update().initial_error == want
 
 
 def _whitened_dense_system(factors, values, n_vars):
@@ -136,33 +137,33 @@ def _whitened_dense_system(factors, values, n_vars):
     return h
 
 
+def _start_error(n, factors, values):
+    """The total error of factors at values, as update() computes it."""
+    s = Smoother()
+    for k in range(n):
+        s.add_variable(values[k])
+    for f in factors:
+        s.add_factor(f)
+    return s.update().initial_error
+
+
 def test_total_error_matches_naive_summation_and_reorder():
     rng = make_rng(59)
     for _ in range(50):
         n = int(rng.integers(2, 6))
-        g = FactorGraph(num_variables=0, factors=[])
-        values = {}
-        for k in range(n):
-            g.add_variable()
-            values[k] = random_pose(rng)
+        values = {k: random_pose(rng) for k in range(n)}
         factors = [MeasurementFactor(0, random_pose(rng), DiagonalNoise(*rng.uniform(0.2, 3.0, 3)))]
         for k in range(1, n):
             factors.append(BetweenFactor(k - 1, k, random_pose(rng), DiagonalNoise(*rng.uniform(0.2, 3.0, 3))))
             if rng.random() < 0.5:
                 factors.append(MeasurementFactor(k, random_pose(rng), DiagonalNoise(*rng.uniform(0.2, 3.0, 3))))
-        for f in factors:
-            g.add(f)
         manual = 0.5 * sum(f.noise.mahalanobis_sq(f.residual(values)) for f in factors)
-        assert math.isclose(g.total_error(values), manual, rel_tol=1e-12)
+        total = _start_error(n, factors, values)
+        assert math.isclose(total, manual, rel_tol=1e-12)
 
-        shuffled = FactorGraph(num_variables=0, factors=[])
-        for _ in range(n):
-            shuffled.add_variable()
         order = list(range(len(factors)))
         rng.shuffle(order)
-        for i in order:
-            shuffled.add(factors[i])
-        assert math.isclose(shuffled.total_error(values), g.total_error(values), rel_tol=1e-12)
+        assert math.isclose(_start_error(n, [factors[i] for i in order], values), total, rel_tol=1e-12)
 
 
 def test_gauge_property_singular_without_unary_factor():

@@ -157,6 +157,47 @@ def test_disconnected_component_raises_gauge_error():
         s.update()
 
 
+def _exact_graph(n, closure):
+    """A solved graph of n poses with exact fixes and odometry, and its factors.
+
+    closure adds a span n - 1 loop closure, which puts the graph in sparse mode.
+    """
+    factors = [MeasurementFactor(k, Pose2(k, 0, 0), UNIT) for k in range(n)]
+    factors += [BetweenFactor(k - 1, k, Pose2(1, 0, 0), UNIT) for k in range(1, n)]
+    if closure:
+        factors.append(BetweenFactor(0, n - 1, Pose2(n - 1, 0, 0), UNIT))
+    s = Smoother()
+    for _ in range(n):
+        s.add_variable()
+    for f in factors:
+        s.add_factor(f)
+    s.update()
+    return s, factors
+
+
+@pytest.mark.parametrize("mode, closure", [("banded", False), ("sparse", True)])
+def test_variable_no_factor_touches_raises_gauge_error(mode, closure):
+    # the start error is already below absolute_tolerance, so no step is taken
+    s, _ = _exact_graph(20, closure)
+    assert s._pattern()["mode"] == mode
+    estimate = s.estimate()
+    s.add_variable()
+    with pytest.raises(GaugeError):
+        s.update()
+    assert s.estimate() == estimate
+
+
+def test_marginal_reuses_the_factorization_of_an_update_without_a_step():
+    s, factors = _exact_graph(12, False)
+    assert s.update().iterations == 0
+    assert s._marginal_cache[2] is not None
+    h, _ = dense_normal_equations(12, factors, s.estimate())
+    cov = np.linalg.inv(h)
+    for k in (0, 5, 11):
+        want = np.sqrt(np.diag(cov)[3 * k : 3 * k + 3])
+        assert np.allclose(s.marginal_sigma(k), want, atol=1e-9, rtol=1e-9)
+
+
 def test_non_convergence_reported_not_raised():
     s = Smoother(SmootherSettings(max_iterations=1))
     k = s.add_variable(Pose2(4.0, -3.0, 2.0))
@@ -454,16 +495,6 @@ def test_update_on_converged_graph_is_quiet():
     assert pose_diff(s.pose_estimate(k), first) < 1e-12
 
 
-def test_graph_snapshot_roundtrip():
-    s = Smoother()
-    k = s.add_variable()
-    s.add_factor(MeasurementFactor(k, Pose2(1, 0, 0), UNIT))
-    g = s.graph()
-    assert g.num_variables == 1
-    assert len(g.factors) == 1
-    assert g.is_gauge_fixed()
-
-
 def test_determinism_of_update():
     def run():
         s = Smoother()
@@ -481,15 +512,19 @@ def test_determinism_of_update():
 
 def test_marginal_follows_factor_added_after_update():
     fix = Pose2(1.0, 2.0, 0.3)
+    factors = [
+        MeasurementFactor(0, fix, DiagonalNoise(*(3 * [math.sqrt(2.0)]))),
+        MeasurementFactor(0, fix, DiagonalNoise(0.01, 0.01, 0.01)),
+    ]
     s = Smoother()
     k = s.add_variable(fix)
-    s.add_factor(MeasurementFactor(k, fix, DiagonalNoise(*(3 * [math.sqrt(2.0)]))))
+    s.add_factor(factors[0])
     s.update()
     assert np.allclose(s.marginal_sigma(k), 3 * [math.sqrt(2.0)], rtol=1e-9)
-    s.add_factor(MeasurementFactor(k, fix, DiagonalNoise(0.01, 0.01, 0.01)))
+    s.add_factor(factors[1])
     fresh = Smoother()
     fresh.add_variable(fix)
-    for f in s.graph().factors:
+    for f in factors:
         fresh.add_factor(f)
     fresh.update()
     want = fresh.marginal_sigma(k)
@@ -533,12 +568,12 @@ def test_overflowing_fix_raises_gauge_error_without_warnings(build):
             s.marginal_sigma(key)
 
 
-def _scratch_normal_equations(s):
-    """Normal equations of s at its values, through a pattern built in one go."""
+def _scratch_normal_equations(s, factors):
+    """Normal equations of s, which holds factors, at its values, through a pattern built in one go."""
     fresh = Smoother()
     for row in s._x.view():
         fresh.add_variable(Pose2(*row))
-    for f in s.graph().factors:
+    for f in factors:
         fresh.add_factor(f)
     pattern = fresh._pattern()
     return pattern, fresh._linearize(fresh._evaluate(fresh._x.view())[1], pattern)
@@ -547,18 +582,23 @@ def _scratch_normal_equations(s):
 def test_incremental_pattern_matches_one_built_from_scratch():
     rng = make_rng(103)
     s = Smoother()
+    factors = []
 
     def noise():
         return DiagonalNoise(*rng.uniform(0.05, 3.0, 3))
 
+    def add(f):
+        s.add_factor(f)
+        factors.append(f)
+
     def add_pose():
         k = s.add_variable(random_pose(rng))
-        s.add_factor(MeasurementFactor(k, random_pose(rng), noise()))
+        add(MeasurementFactor(k, random_pose(rng), noise()))
         if k:
-            s.add_factor(BetweenFactor(k - 1, k, random_pose(rng, span=3.0), noise()))
+            add(BetweenFactor(k - 1, k, random_pose(rng, span=3.0), noise()))
 
     def closure(a, b):
-        return lambda: s.add_factor(BetweenFactor(a, b, random_pose(rng, span=3.0), noise()))
+        return lambda: add(BetweenFactor(a, b, random_pose(rng, span=3.0), noise()))
 
     # each stage is compared with a pattern built in one go after it is added;
     # in sparse mode, "mid" stages must insert a key before the last one
@@ -566,7 +606,7 @@ def test_incremental_pattern_matches_one_built_from_scratch():
         ("banded", None, lambda: [add_pose() for _ in range(20)]),
         ("banded", None, add_pose),  # a new variable, appended
         ("banded", None, closure(20, 18)),  # a wider band: rebuilt
-        ("banded", None, lambda: s.add_factor(PriorFactor(4, random_pose(rng), noise()))),
+        ("banded", None, lambda: add(PriorFactor(4, random_pose(rng), noise()))),
         ("sparse", None, closure(0, 20)),  # flips to sparse
         ("sparse", "mid", closure(9, 2)),
         ("sparse", "mid", add_pose),  # a new variable: odometry enters the previous key's column
@@ -580,7 +620,7 @@ def test_incremental_pattern_matches_one_built_from_scratch():
         pattern = s._pattern()
         assert pattern["mode"] == mode
         system, g = s._linearize(s._evaluate(s._x.view())[1], pattern)
-        want_pattern, (want_system, want_g) = _scratch_normal_equations(s)
+        want_pattern, (want_system, want_g) = _scratch_normal_equations(s, factors)
         assert np.array_equal(g, want_g)
         if mode == "banded":
             assert pattern["u"] == want_pattern["u"]
@@ -644,7 +684,8 @@ def test_truncate_returns_to_the_checkpoint():
     assert s._pattern()["mode"] == "sparse"
     s.marginal_sigma(k)
     s.truncate(mark)
-    assert s.graph().factors == fresh.graph().factors
+    for store in ("_un_keys", "_un_vals", "_un_info", "_bt_from", "_bt_to", "_bt_rel", "_bt_info"):
+        assert getattr(s, store).view().tobytes() == getattr(fresh, store).view().tobytes()
     assert s.estimate() == estimate
     assert s.marginal_sigma(a) == sigma
     for sm in (s, fresh):
