@@ -217,16 +217,6 @@ class FusionDriver:
         self._last_odo_ts = sample.timestamp
         self._pending.append(sample)
 
-    def _consume(self, t_end: float) -> list[OdometrySample]:
-        start = self._pending_head
-        while self._pending_head < len(self._pending) and self._pending[self._pending_head].timestamp <= t_end:
-            self._pending_head += 1
-        window = self._pending[start : self._pending_head]
-        if self._pending_head == len(self._pending):
-            self._pending = []
-            self._pending_head = 0
-        return window
-
     def add_measurement(self, timestamp: float, pose: Pose2) -> SolveReport:
         """Add a frame and re-solve. On any failure the driver and smoother stay as they were."""
         # Pose2 is finite by construction
@@ -237,14 +227,18 @@ class FusionDriver:
             raise ValidationError(f"measurement timestamps must increase: {timestamp} after {t_prev}")
         sm = self.smoother
         mark = sm.checkpoint()
-        queue = (self._pending, self._pending_head)
+        # the queue moves past the odometry this frame folds only once the frame is accepted
+        end = self._pending_head
         try:
             if t_prev is None:
                 key = sm.add_variable(initial_guess=self._prior if self._prior is not None else pose)
                 if self._prior is not None:
                     sm.add_factor(PriorFactor(key, self._prior, self._prior_noise))
             else:
-                edge = accumulate(self._consume(timestamp), t_prev, timestamp, self._odometry_noise)
+                while end < len(self._pending) and self._pending[end].timestamp <= timestamp:
+                    end += 1
+                window = self._pending[self._pending_head : end]
+                edge = accumulate(window, t_prev, timestamp, self._odometry_noise)
                 key = sm.add_variable()
                 sm.add_factor(BetweenFactor(key - 1, key, edge.relative, edge.noise))
             sm.add_factor(MeasurementFactor(key, pose, self._measurement_noise))
@@ -252,9 +246,11 @@ class FusionDriver:
             online = sm.pose_estimate(key)
         except BaseException:
             sm.truncate(mark)
-            # _consume replaces the queue list rather than editing it
-            self._pending, self._pending_head = queue
             raise
+        self._pending_head = end
+        if end == len(self._pending):
+            self._pending.clear()
+            self._pending_head = 0
         self.frame_ts.append(timestamp)
         self.online.append(online)
         self.reports.append(report)

@@ -209,14 +209,13 @@ def _cells(entries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return k[:, entries[0]] + entries[1], k[:, entries[2]] + entries[3]
 
 
-def _entry_major(stores) -> np.ndarray:
-    """The unary, to-key and from-key index stores, flat in _linearize's order.
+def _entry_major(un: np.ndarray, to: np.ndarray, fr: np.ndarray) -> np.ndarray:
+    """The unary, to-key and from-key indices, one row per factor, flat in _linearize's order.
 
     That order is entry-major: entry i of every factor's to key (unary
     factors first), then entry i + 1, and so on; then the same for the from
     keys.
     """
-    un, to, fr = (store.view() for store in stores)
     m_to = len(un) + len(to)
     idx = np.empty(un.shape[1] * m_to + fr.size, np.intp)
     head = idx[: un.shape[1] * m_to].reshape(un.shape[1], m_to)
@@ -277,15 +276,12 @@ class Smoother:
 
     def __init__(self, settings: SmootherSettings | None = None):
         self.settings = settings or SmootherSettings()
-        self._n = 0
         self._n_solved = 0
-        self._updated = False
         self._x = _Store(width=3)
-        self._valued: list[bool] = []
+        # the keys added without a value, which update() gives one
         self._pending: list[int] = []
         # each key's first between factor into it, as a row of the _bt stores
         self._first_between_to: dict[int, int] = {}
-        self._max_span = 0
         # unary store holds priors and measurements together; the residual
         # and jacobian math is identical for both. *_info holds 1 / sigma^2.
         self._un_keys = _Store(dtype=np.intp)
@@ -296,31 +292,30 @@ class Smoother:
         self._bt_rel = _Store(width=3)
         self._bt_info = _Store(width=3)
         self._pattern_cache: dict | None = None
-        self._estimate_version = 0
-        # (graph state, residual terms, (mode, factorization, dim)) at the estimate
+        # bumped by every change to the graph or the estimate
+        self._version = 0
+        # (version, residual terms, solve) at the estimate
         self._marginal_cache: tuple | None = None
 
     # ---- graph construction -------------------------------------------------
 
     @property
     def num_variables(self) -> int:
-        return self._n
+        return len(self._x)
 
     def add_variable(self, initial_guess: Pose2 | None = None) -> int:
-        key = self._n
-        self._n += 1
+        key = len(self._x)
         if initial_guess is not None:
             self._x.append(initial_guess.as_tuple())
-            self._valued.append(True)
         else:
             self._x.append((0.0, 0.0, 0.0))
-            self._valued.append(False)
             self._pending.append(key)
+        self._version += 1
         return key
 
     def add_factor(self, factor: Factor) -> None:
         for key in factor.keys():
-            if not 0 <= key < self._n:
+            if not 0 <= key < len(self._x):
                 raise KeyError(f"factor references unknown variable {key}")
         sx, sy, st = factor.noise.sigmas()
         info = (1.0 / (sx * sx), 1.0 / (sy * sy), 1.0 / (st * st))
@@ -336,49 +331,42 @@ class Smoother:
             self._bt_to.append(t)
             self._bt_rel.append(factor.relative.as_tuple())
             self._bt_info.append(info)
-            self._max_span = max(self._max_span, abs(t - f))
         else:
             raise TypeError(f"unsupported factor type {type(factor).__name__}")
+        self._version += 1
 
     def checkpoint(self) -> tuple:
         """A mark of the graph and the estimate, for truncate() to return to."""
         sizes = (len(self._un_keys), len(self._bt_from))
-        solved = (self._n_solved, self._updated, self._estimate_version, self._marginal_cache)
-        return sizes + (self._x.view().copy(), tuple(self._pending), solved)
+        return sizes + (self._x.view().copy(), tuple(self._pending), self._n_solved)
 
     def truncate(self, mark: tuple) -> None:
         """Drop every variable and factor added since checkpoint() gave mark, and any estimate since.
 
         The stores only grow, so this shortens them and restores the estimate.
         """
-        n_un, n_bt, x, pending, solved = mark
-        self._n = len(x)
-        self._x.truncate(self._n)
+        n_un, n_bt, x, pending, self._n_solved = mark
+        self._x.truncate(len(x))
         self._x.view()[:] = x
-        del self._valued[self._n :]
-        # a failed update() may have given the pending variables values
-        for key in pending:
-            self._valued[key] = False
         self._pending = list(pending)
         for store in (self._un_keys, self._un_vals, self._un_info):
             store.truncate(n_un)
         for store in (self._bt_from, self._bt_to, self._bt_rel, self._bt_info):
             store.truncate(n_bt)
-        spans = np.abs(self._bt_to.view() - self._bt_from.view())
-        self._max_span = int(spans.max(initial=0))
         self._first_between_to = {k: row for k, row in self._first_between_to.items() if row < n_bt}
         self._pattern_cache = None
-        self._n_solved, self._updated, self._estimate_version, self._marginal_cache = solved
+        self._marginal_cache = None
+        self._version += 1
 
     # ---- estimates ----------------------------------------------------------
 
     def estimate(self) -> dict[int, Pose2]:
-        if not self._updated:
+        if self._n_solved == 0:
             raise RuntimeError("estimate requested before the first update")
         return {k: self._pose_at(k) for k in range(self._n_solved)}
 
     def pose_estimate(self, key: int) -> Pose2:
-        if not self._updated:
+        if self._n_solved == 0:
             raise RuntimeError("estimate requested before the first update")
         if not 0 <= key < self._n_solved:
             raise KeyError(f"variable {key} has no estimate yet")
@@ -389,20 +377,22 @@ class Smoother:
 
     # ---- solving ------------------------------------------------------------
 
-    def _activate_pending(self) -> None:
-        x = self._x.view()
+    def _activate_pending(self, X: np.ndarray) -> None:
+        """Start values in X for the pending keys, in key order.
+
+        A key follows its first between factor from a key with a value, else
+        copies the previous key's value, else stays at the origin.
+        """
         bt_from, bt_rel = self._bt_from.view(), self._bt_rel.view()
+        waiting = set(self._pending)
         for key in self._pending:
             row = self._first_between_to.get(key)
-            if row is not None and self._valued[bt_from[row]]:
-                base = self._pose_at(bt_from[row])
-                x[key] = base.compose(Pose2(*bt_rel[row].tolist())).as_tuple()
-            elif key > 0 and self._valued[key - 1]:
-                x[key] = x[key - 1]
-            else:
-                x[key] = 0.0
-            self._valued[key] = True
-        self._pending.clear()
+            if row is not None and bt_from[row] not in waiting:
+                base = Pose2(*X[bt_from[row]].tolist())
+                X[key] = base.compose(Pose2(*bt_rel[row].tolist())).as_tuple()
+            elif key > 0 and key - 1 not in waiting:
+                X[key] = X[key - 1]
+            waiting.discard(key)
 
     def _pattern(self) -> dict:
         """Solver mode and where each H and g entry of _linearize goes.
@@ -418,27 +408,29 @@ class Smoother:
         before the end. A change of mode, or of the half-bandwidth in banded
         mode, starts the stores afresh.
         """
-        dim = 3 * self._n
+        dim = 3 * len(self._x)
         state = (len(self._un_keys), len(self._bt_from), dim)
         p = self._pattern_cache
         if p is not None and p["state"] == state:
             return p
-        u = min(3 * self._max_span + 2, max(dim - 1, 0))
+        bt_from, bt_to = self._bt_from.view(), self._bt_to.view()
+        max_span = int(np.abs(bt_to - bt_from).max(initial=0))
+        u = min(3 * max_span + 2, max(dim - 1, 0))
         mode = "banded" if u <= _BAND_LIMIT else "sparse"
         if p is None or p["mode"] != mode or (mode == "banded" and p["u"] != u):
             p = {
                 "mode": mode,
                 "u": u,
                 "stores": [_Store(e.shape[1], np.intp) for e in _ENTRIES[mode]],
-                "g_stores": [_Store(3, np.intp) for _ in range(3)],
                 "csc": np.empty(0, np.int64),
             }
         stores = p["stores"]
         n_bt = len(stores[1])
+        un_keys = self._un_keys.view()
         keys = [
-            self._un_keys.view()[len(stores[0]) :, None],
-            self._bt_to.view()[n_bt:, None],
-            np.column_stack([self._bt_from.view()[n_bt:], self._bt_to.view()[n_bt:]]),
+            un_keys[len(stores[0]) :, None],
+            bt_to[n_bt:, None],
+            np.column_stack([bt_from[n_bt:], bt_to[n_bt:]]),
         ]
         cells = [_cells(e, k) for e, k in zip(_ENTRIES[mode], keys)]
         if mode == "banded":
@@ -469,12 +461,11 @@ class Smoother:
                 indices=(csc & 0xFFFFFFFF).astype(np.int32),
                 indptr=np.searchsorted(csc, np.arange(dim + 1, dtype=np.int64) << 32).astype(np.int32),
             )
-        for store, g_store, h, k in zip(stores, p["g_stores"], places, keys):
+        for store, h in zip(stores, places):
             store.extend(h)
-            # g: the rows of the block of the key measured or the from key
-            g_store.extend(3 * k[:, :1] + _G3)
-        p["h_idx"] = _entry_major(stores)
-        p["g_rows"] = _entry_major(p["g_stores"])
+        p["h_idx"] = _entry_major(*(store.view() for store in stores))
+        # g: the rows of the block of the key measured, the to key and the from key
+        p["g_rows"] = _entry_major(*(3 * k[:, None] + _G3 for k in (un_keys, bt_to, bt_from)))
         p["h_size"] = dim * (u + 1) if mode == "banded" else len(p["csc"])
         p["state"] = state
         p["dim"] = dim
@@ -529,13 +520,15 @@ class Smoother:
 
     @staticmethod
     def _factorize(system, pattern: dict):
+        """The solve of system: a function from a right-hand side to the solution."""
         if pattern["mode"] == "banded":
             try:
                 # system is a fresh array that no caller reads again
                 cb = scipy.linalg.cholesky_banded(system, overwrite_ab=True, lower=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise GaugeError(f"normal equations are not positive definite: {exc}") from None
-            return "banded", cb
+            # the factor is finite, and so is rhs whenever the system was
+            return lambda rhs: scipy.linalg.cho_solve_banded((cb, True), rhs, check_finite=False)
         try:
             # relax=1, panel_size=1: no supernode relaxation and single-column
             # panels, which cut gstrf's fixed cost at pose-graph sizes
@@ -549,55 +542,45 @@ class Smoother:
             )
         except RuntimeError as exc:
             raise GaugeError(f"normal equations are singular: {exc}") from None
-        return "sparse", lu
-
-    @staticmethod
-    def _solve(mode: str, fact, rhs: np.ndarray) -> np.ndarray:
-        if mode == "banded":
-            # the factor is finite, and so is rhs whenever the system was
-            return scipy.linalg.cho_solve_banded((fact, True), rhs, check_finite=False)
-        return fact.solve(rhs)
-
-    def _graph_state(self) -> tuple[int, int, int, int]:
-        return (self._estimate_version, len(self._un_keys), len(self._bt_from), self._n)
+        return lu.solve
 
     # overflow shows up as a non-finite error or system, which raise GaugeError
     @np.errstate(all="ignore")
     def update(self) -> SolveReport:
+        """Solve the whole graph from the current estimate; on any error, change nothing."""
         t0 = time.perf_counter()
-        self._activate_pending()
-        if self._n == 0:
+        if len(self._x) == 0:
             raise GaugeError("cannot update an empty graph")
         if len(self._un_keys) == 0:
             raise GaugeError("graph has no prior or measurement factor to fix the gauge")
         cfg = self.settings
         pattern = self._pattern()
         X = self._x.view().copy()
+        self._activate_pending(X)
         err, terms = self._evaluate(X)
         if not math.isfinite(err):
             raise GaugeError(f"factor error at the start point is not finite: {err}")
         history = [err]
         iterations = 0
-        fact = None
+        solve = None
         converged = err <= cfg.absolute_tolerance
         if not converged:
             for _ in range(cfg.max_iterations):
                 system, g = self._linearize(terms, pattern)
-                fact = self._factorize(system, pattern)
-                delta = self._solve(*fact, -g)
+                solve = self._factorize(system, pattern)
+                delta = solve(-g)
                 if not np.all(np.isfinite(delta)):
                     raise GaugeError("normal equations produced a non-finite step")
                 alpha = 1.0
-                accepted = False
                 for _ in range(cfg.max_step_halvings + 1):
                     trial = _v_compose(X, _v_exp(alpha * delta.reshape(-1, 3)))
                     trial_err, trial_terms = self._evaluate(trial)
                     if trial_err <= err:
-                        accepted = True
                         break
                     alpha *= 0.5
-                if not accepted:
-                    converged = bool(np.max(np.abs(delta)) < 1e-10) or err <= cfg.absolute_tolerance
+                else:
+                    # err is above absolute_tolerance here, or the loop would have ended
+                    converged = bool(np.max(np.abs(delta)) < 1e-10)
                     break
                 X, terms = trial, trial_terms
                 iterations += 1
@@ -608,18 +591,18 @@ class Smoother:
                 if err <= cfg.absolute_tolerance or decrease <= cfg.relative_tolerance * max(prev, 1e-300):
                     converged = True
                     break
-        if fact is None:
+        if solve is None:
             # only a factorization shows that the normal equations are
             # regular, which a variable that no factor touches makes them not
-            fact = self._factorize(self._linearize(terms, pattern)[0], pattern)
+            solve = self._factorize(self._linearize(terms, pattern)[0], pattern)
         self._x.view()[:] = X
-        self._n_solved = self._n
-        self._updated = True
-        self._estimate_version += 1
-        # for marginals: the factorization if no step moved the estimate
-        # since it was made, else the estimate's residual terms
-        at_estimate = (None, fact + (pattern["dim"],)) if iterations == 0 else (terms, None)
-        self._marginal_cache = (self._graph_state(),) + at_estimate
+        self._pending.clear()
+        self._n_solved = len(X)
+        self._version += 1
+        # for marginals: the solve if no step moved the estimate since it
+        # was factorized, else the estimate's residual terms
+        at_estimate = (None, solve) if iterations == 0 else (terms, None)
+        self._marginal_cache = (self._version,) + at_estimate
         return SolveReport(
             iterations=iterations,
             initial_error=history[0],
@@ -632,41 +615,39 @@ class Smoother:
     # ---- marginals ----------------------------------------------------------
 
     @np.errstate(all="ignore")
-    def _marginal_factorization(self):
-        """(mode, factorization, dim) of H at the estimate, cached per graph state.
+    def _marginal_solve(self):
+        """The solve of H at the estimate, cached per version.
 
         After update() the cache holds the estimate's residual terms, which
         the first marginal read factorizes in place of evaluating them again,
-        or, when no step moved the estimate, update()'s factorization itself.
-        An added factor or variable, or a new estimate, changes the state and
-        drops both.
+        or, when no step moved the estimate, update()'s solve itself. Any
+        change to the graph or the estimate bumps the version and drops both.
         """
-        state = self._graph_state()
         cache = self._marginal_cache
-        if cache is None or cache[0] != state:
-            cache = (state, None, None)
+        if cache is None or cache[0] != self._version:
+            cache = (self._version, None, None)
         if cache[2] is None:
             pattern = self._pattern()
             terms = cache[1] if cache[1] is not None else self._evaluate(self._x.view())[1]
             system, _ = self._linearize(terms, pattern)
-            cache = (state, None, self._factorize(system, pattern) + (pattern["dim"],))
+            cache = (self._version, None, self._factorize(system, pattern))
             self._marginal_cache = cache
         return cache[2]
 
     def marginal_sigma(self, key: int) -> tuple[float, float, float]:
         """Sigmas of the tangent-space marginal at the current estimate."""
-        if not self._updated:
+        if self._n_solved == 0:
             raise RuntimeError("marginals requested before the first update")
         if not 0 <= key < self._n_solved:
             raise KeyError(f"variable {key} has no estimate yet")
-        if self._n != self._n_solved or self._pending:
+        if len(self._x) != self._n_solved:
             raise RuntimeError("marginals requested with pending variables; call update() first")
-        mode, fact, dim = self._marginal_factorization()
-        rhs = np.zeros((dim, 3))
+        solve = self._marginal_solve()
+        rhs = np.zeros((3 * self.num_variables, 3))
         rhs[3 * key, 0] = 1.0
         rhs[3 * key + 1, 1] = 1.0
         rhs[3 * key + 2, 2] = 1.0
-        sol = self._solve(mode, fact, rhs)
+        sol = solve(rhs)
         var = np.array([sol[3 * key + i, i] for i in range(3)])
         if not np.all(np.isfinite(var)) or np.any(var <= 0.0):
             raise GaugeError("marginal covariance is not positive definite")

@@ -187,6 +187,31 @@ def test_variable_no_factor_touches_raises_gauge_error(mode, closure):
     assert s.estimate() == estimate
 
 
+@pytest.mark.parametrize("anchored", [False, True], ids=["no-anchor", "singular"])
+def test_rejected_update_changes_nothing(anchored):
+    # no anchor: update() finds no unary factor; anchored: pose 1 is pending
+    # and no factor touches it, so H is singular
+    def build():
+        s = Smoother()
+        s.add_variable(Pose2(0, 0, 0))
+        s.add_variable()
+        if anchored:
+            s.add_factor(PriorFactor(0, Pose2(0, 0, 0), UNIT))
+        return s
+
+    def finish(s):
+        s.add_factor(BetweenFactor(0, 1, Pose2(1, 2, 3), UNIT))
+        if not anchored:
+            s.add_factor(PriorFactor(0, Pose2(0, 0, 0), UNIT))
+        return s.update()
+
+    s, fresh = build(), build()
+    with pytest.raises(GaugeError):
+        s.update()
+    assert finish(s).error_history == finish(fresh).error_history
+    assert s.estimate() == fresh.estimate()
+
+
 def test_marginal_reuses_the_factorization_of_an_update_without_a_step():
     s, factors = _exact_graph(12, False)
     assert s.update().iterations == 0
@@ -663,7 +688,7 @@ def test_truncate_returns_to_the_checkpoint():
         a = sm.add_variable()
         sm.add_variable()
     mark = s.checkpoint()
-    # a failed update gives the pending poses values
+    # a failed update leaves the pending poses pending
     s.add_factor(MeasurementFactor(a - 1, Pose2(1e300, 0.0, 0.0), UNIT))
     with pytest.raises(GaugeError):
         s.update()
