@@ -10,16 +10,16 @@ with a banded Cholesky when every between factor joins nearby keys (the
 streaming chain case), falling back to a sparse symmetric-mode LU for
 general graphs.
 
-The index pattern that scatters those entries into H and g is append-only.
-The factor stores only grow, so an update places the entries of the new
-factors and leaves every placed one where it is; only a mode flip or a
-wider band rebuilds it. In sparse mode the new CSC keys are merged into the
-sorted ones instead of sorting all of them again, which took 10% of a run
-on loop-closure graphs. SuperLU runs with relax=1 and panel_size=1: at
-pose-graph sizes, a few hundred to a few thousand unknowns, supernode
-relaxation and wide panels cost more than they save. On a 900-unknown loop
-graph that cut the factorization to 0.55x its time with the defaults, with
-the same fill.
+The index pattern that scatters those entries into H and g is a function
+of the factor keys, built in one pass whenever a variable or factor is
+added. H is block-sparse, one dense 3x3 block per pair of keys that share a
+factor, so sparse mode sorts one key per block, not one per entry, and
+places every entry in closed form from its block's slot.
+
+SuperLU runs with relax=1 and panel_size=1: at pose-graph sizes, a few
+hundred to a few thousand unknowns, supernode relaxation and wide panels
+cost more than they save. On a 900-unknown loop graph that cut the
+factorization to 0.55x its time with the defaults, with the same fill.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .errors import ValidationError
 from .factors import BetweenFactor, Factor, MeasurementFactor, PriorFactor, _half_cot, _v_chain_from, _v_dlog
 from .geometry import Pose2
 
@@ -68,12 +69,16 @@ def _mirrored(entries: np.ndarray, which: list[int]) -> np.ndarray:
     return np.hstack([entries, entries[[2, 3, 0, 1]][:, which]])
 
 
-# The entries of unary factors, the between factors' to keys and their from
-# keys, per solver mode.
+# The entries of the to side (unary factors, then the between factors' to
+# keys) and of the from side, per solver mode.
 _ENTRIES = {
-    "banded": (_TO_ENTRIES, _TO_ENTRIES, _FROM_ENTRIES),
-    "sparse": (_mirrored(_TO_ENTRIES, _TO_MIRROR),) * 2 + (_mirrored(_FROM_ENTRIES, _FROM_MIRROR),),
+    "banded": (_TO_ENTRIES, _FROM_ENTRIES),
+    "sparse": (_mirrored(_TO_ENTRIES, _TO_MIRROR), _mirrored(_FROM_ENTRIES, _FROM_MIRROR)),
 }
+# The blocks each side fills in sparse mode, each as the code 2 r + c of the
+# keys its rows and columns lie at (numbered as in the entries above), and
+# the block of each entry, as an index into those codes.
+_BLOCKS = [np.unique(2 * e[0] + e[2], return_inverse=True) for e in _ENTRIES["sparse"]]
 
 
 class GaugeError(RuntimeError):
@@ -86,6 +91,16 @@ class SmootherSettings:
     relative_tolerance: float = 1e-9
     absolute_tolerance: float = 1e-12
     max_step_halvings: int = 10
+
+    def __post_init__(self) -> None:
+        for name in ("max_iterations", "max_step_halvings"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise ValidationError(f"{name} must be an integer >= 0, got {v!r}")
+        for name in ("relative_tolerance", "absolute_tolerance"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -200,29 +215,9 @@ def _jt_times(j: tuple, v: np.ndarray) -> list[np.ndarray]:
     return [p * v0 - q * v1, q * v0 + p * v1, e * v0 + f * v1 + v[:, 2]]
 
 
-def _cells(entries: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the H entries, one row per factor.
-
-    keys holds a factor's own key, or its from and to keys, in each row.
-    """
-    k = 3 * keys
-    return k[:, entries[0]] + entries[1], k[:, entries[2]] + entries[3]
-
-
-def _entry_major(un: np.ndarray, to: np.ndarray, fr: np.ndarray) -> np.ndarray:
-    """The unary, to-key and from-key indices, one row per factor, flat in _linearize's order.
-
-    That order is entry-major: entry i of every factor's to key (unary
-    factors first), then entry i + 1, and so on; then the same for the from
-    keys.
-    """
-    m_to = len(un) + len(to)
-    idx = np.empty(un.shape[1] * m_to + fr.size, np.intp)
-    head = idx[: un.shape[1] * m_to].reshape(un.shape[1], m_to)
-    head[:, : len(un)] = un.T
-    head[:, len(un) :] = to.T
-    idx[un.shape[1] * m_to :].reshape(fr.shape[1], len(fr))[:] = fr.T
-    return idx
+def _is_key(key, n: int) -> bool:
+    """Whether key is an integer, not a bool, in [0, n)."""
+    return isinstance(key, (int, np.integer)) and not isinstance(key, bool) and 0 <= key < n
 
 
 class _Store:
@@ -243,10 +238,6 @@ class _Store:
     def append(self, row) -> None:
         self._tail.append(row)
 
-    def extend(self, rows: np.ndarray) -> None:
-        self.view()
-        self._put(rows)
-
     def truncate(self, n: int) -> None:
         """Keep the first n rows."""
         self.view()
@@ -255,20 +246,17 @@ class _Store:
     def view(self) -> np.ndarray:
         if self._tail:
             tail, self._tail = self._tail, []
-            self._put(tail)
+            need = self.n + len(tail)
+            if need > len(self.a):
+                cap = len(self.a)
+                while cap < need:
+                    cap *= 2
+                grown = np.zeros((cap,) + self.a.shape[1:], dtype=self.a.dtype)
+                grown[: self.n] = self.a[: self.n]
+                self.a = grown
+            self.a[self.n : need] = tail
+            self.n = need
         return self.a[: self.n]
-
-    def _put(self, rows) -> None:
-        need = self.n + len(rows)
-        if need > len(self.a):
-            cap = len(self.a)
-            while cap < need:
-                cap *= 2
-            grown = np.zeros((cap,) + self.a.shape[1:], dtype=self.a.dtype)
-            grown[: self.n] = self.a[: self.n]
-            self.a = grown
-        self.a[self.n : need] = rows
-        self.n = need
 
 
 class Smoother:
@@ -315,7 +303,7 @@ class Smoother:
 
     def add_factor(self, factor: Factor) -> None:
         for key in factor.keys():
-            if not 0 <= key < len(self._x):
+            if not _is_key(key, len(self._x)):
                 raise KeyError(f"factor references unknown variable {key}")
         sx, sy, st = factor.noise.sigmas()
         info = (1.0 / (sx * sx), 1.0 / (sy * sy), 1.0 / (st * st))
@@ -368,7 +356,7 @@ class Smoother:
     def pose_estimate(self, key: int) -> Pose2:
         if self._n_solved == 0:
             raise RuntimeError("estimate requested before the first update")
-        if not 0 <= key < self._n_solved:
+        if not _is_key(key, self._n_solved):
             raise KeyError(f"variable {key} has no estimate yet")
         return self._pose_at(key)
 
@@ -397,16 +385,16 @@ class Smoother:
     def _pattern(self) -> dict:
         """Solver mode and where each H and g entry of _linearize goes.
 
-        Index stores hold one row per factor: three for the places of the
-        H entries of unary factors, the between factors' to keys and their
-        from keys, and three for the rows of g they add to. The factor stores
-        only grow, so each call appends the rows of the factors added since
-        the previous one, and no placed row moves. Banded mode places H entries in the lower
-        band, which does not depend on dim. Sparse mode places them at slots
-        of the sorted keys col << 32 | row of the full matrix: new keys are
-        merged in, and the stored slots are shifted only when one lands
-        before the end. A change of mode, or of the half-bandwidth in banded
-        mode, starts the stores afresh.
+        A function of the key stores, built in one pass whenever their sizes
+        change. _linearize emits the entries of the to side, then those of
+        the from side, each entry-major: entry i of every factor, then entry
+        i + 1. Banded mode places H entry (r, c) at (max, min) of the lower
+        band, stored column after column. Sparse mode stores the full matrix
+        in CSC form: the dense 3x3 blocks of the key pairs that share a
+        factor, sorted by col << 32 | row key. Column 3b + j starts after the
+        9 before[b] entries of the blocks left of block column b and holds
+        3 per_col[b], so entry (i, j) of the block at slot s of that order
+        lies at 6 before[b] + 3 s + 3 per_col[b] j + i.
         """
         dim = 3 * len(self._x)
         state = (len(self._un_keys), len(self._bt_from), dim)
@@ -417,58 +405,34 @@ class Smoother:
         max_span = int(np.abs(bt_to - bt_from).max(initial=0))
         u = min(3 * max_span + 2, max(dim - 1, 0))
         mode = "banded" if u <= _BAND_LIMIT else "sparse"
-        if p is None or p["mode"] != mode or (mode == "banded" and p["u"] != u):
-            p = {
-                "mode": mode,
-                "u": u,
-                "stores": [_Store(e.shape[1], np.intp) for e in _ENTRIES[mode]],
-                "csc": np.empty(0, np.int64),
-            }
-        stores = p["stores"]
-        n_bt = len(stores[1])
-        un_keys = self._un_keys.view()
-        keys = [
-            un_keys[len(stores[0]) :, None],
-            bt_to[n_bt:, None],
-            np.column_stack([bt_from[n_bt:], bt_to[n_bt:]]),
-        ]
-        cells = [_cells(e, k) for e, k in zip(_ENTRIES[mode], keys)]
+        # one row per factor: the key measured or the to key; the from and the to key
+        keys = [np.concatenate([self._un_keys.view(), bt_to])[:, None], np.column_stack([bt_from, bt_to])]
+        p = {"mode": mode, "u": u, "dim": dim, "state": state}
         if mode == "banded":
-            # entry (r, c) goes to (max, min) of the lower band, which is
-            # stored column after column
+            cells = [(3 * k[:, e[0]] + e[1], 3 * k[:, e[2]] + e[3]) for e, k in zip(_ENTRIES[mode], keys)]
             places = [np.minimum(r, c) * u + np.maximum(r, c) for r, c in cells]
+            p["h_size"] = dim * (u + 1)
         else:
-            places = [(c << 32) | r for r, c in cells]
-            csc = p["csc"]
-            cand = np.unique(np.concatenate([k.ravel() for k in places]))
-            pos = np.searchsorted(csc, cand)
-            fresh = np.searchsorted(csc, cand, side="right") == pos
-            ins = pos[fresh]
-            if len(ins) and ins[0] < len(csc):
-                # a slot at or after ins[0] moves up by the number of keys
-                # inserted at or before it
-                lo = ins[0]
-                shift = np.cumsum(np.bincount(ins - lo, minlength=len(csc) - lo))[: len(csc) - lo]
-                for store in stores:
-                    h = store.view()
-                    tail = h >= lo
-                    h[tail] += shift[h[tail] - lo]
-            csc = np.insert(csc, ins, cand[fresh])
-            places = [np.searchsorted(csc, k) for k in places]
+            blocks = [(k[:, c % 2] << 32) | k[:, c // 2] for (c, _), k in zip(_BLOCKS, keys)]
+            csc, slot = np.unique(np.concatenate([b.ravel() for b in blocks]), return_inverse=True)
+            col = csc >> 32
+            per_col = np.bincount(col, minlength=len(self._x))
+            before = np.cumsum(per_col) - per_col
+            # the place of entry (i, j) of the block at slot s, at 9 s + 3 i + j
+            at = ((6 * before[col] + 3 * np.arange(len(csc)))[:, None] + 3 * per_col[col, None] * _CJ + _CI).ravel()
+            splits = zip(_BLOCKS, _ENTRIES[mode], blocks, np.split(slot, [blocks[0].size]))
+            places = [at[9 * s.reshape(b.shape)[:, which] + (3 * e[1] + e[3])] for (_, which), e, b, s in splits]
+            indices = np.empty(9 * len(csc), np.int32)
+            indices[at] = (3 * (csc[:, None] & 0xFFFFFFFF) + _CI).ravel()
             p.update(
-                csc=csc,
                 # 32-bit indices spare scipy a scan to downcast them
-                indices=(csc & 0xFFFFFFFF).astype(np.int32),
-                indptr=np.searchsorted(csc, np.arange(dim + 1, dtype=np.int64) << 32).astype(np.int32),
+                indices=indices,
+                indptr=np.append(9 * before[:, None] + 3 * per_col[:, None] * _G3, 9 * len(csc)).astype(np.int32),
+                h_size=9 * len(csc),
             )
-        for store, h in zip(stores, places):
-            store.extend(h)
-        p["h_idx"] = _entry_major(*(store.view() for store in stores))
-        # g: the rows of the block of the key measured, the to key and the from key
-        p["g_rows"] = _entry_major(*(3 * k[:, None] + _G3 for k in (un_keys, bt_to, bt_from)))
-        p["h_size"] = dim * (u + 1) if mode == "banded" else len(p["csc"])
-        p["state"] = state
-        p["dim"] = dim
+        p["h_idx"] = np.concatenate([h.T.ravel() for h in places])
+        # g: the rows of the block of the key measured or the to key, then of the from key
+        p["g_rows"] = np.concatenate([(3 * k[:, :1] + _G3).T.ravel() for k in keys])
         self._pattern_cache = p
         return p
 
@@ -638,7 +602,7 @@ class Smoother:
         """Sigmas of the tangent-space marginal at the current estimate."""
         if self._n_solved == 0:
             raise RuntimeError("marginals requested before the first update")
-        if not 0 <= key < self._n_solved:
+        if not _is_key(key, self._n_solved):
             raise KeyError(f"variable {key} has no estimate yet")
         if len(self._x) != self._n_solved:
             raise RuntimeError("marginals requested with pending variables; call update() first")
