@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation or optimization errors, 2 I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import statistics
@@ -268,6 +269,7 @@ class FusionDriver:
         return {
             "n_frames": len(self.reports),
             "iterations": [r.iterations for r in self.reports],
+            "factorizations": [r.factorizations for r in self.reports],
             "latencies_ms": latencies,
             "mean_update_ms": sum(latencies) / len(latencies) if latencies else None,
             "max_update_ms": max(latencies) if latencies else None,
@@ -496,14 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     _add_config_flags(p, "sim", "out")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fuse", help="fuse odometry and measurement files")
     p.add_argument("--odometry", required=True)
     p.add_argument("--measurements", required=True)
     p.add_argument("--prior", help="prior pose JSON ({x, y, theta})")
     _add_config_flags(p, "fuse", "out")
-    p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("evaluate", help="compare an estimate against ground truth")
     p.add_argument("--estimate", required=True)
@@ -513,27 +513,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dt", type=float, default=DEFAULT_MAX_DT)
     p.add_argument("--per-pose", metavar="PATH", help="write per-pose errors to this CSV")
     p.add_argument("--out", metavar="PATH", help="write the report JSON here instead of stdout")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("stream", help="line-protocol fusion on stdin/stdout")
     _add_config_flags(p, "fuse")
-    p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("pipeline", help="simulate, fuse, and evaluate in one run")
     _add_config_flags(p, "sim", "fuse", "evaluate", "out")
     p.add_argument("--seeds", type=int, default=1, metavar="N", help="run N consecutive seeds")
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call only."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # looked up on each call, so a cmd_* replaced since the parser was
+        # built, as a tracer does, is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except (ValidationError, GaugeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1

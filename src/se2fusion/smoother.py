@@ -10,6 +10,20 @@ with a banded Cholesky when every between factor joins nearby keys (the
 streaming chain case), falling back to a sparse symmetric-mode LU for
 general graphs.
 
+In sparse mode the factorization dominates the solve, so update() keeps its
+factor across steps. After each accepted step it assembles only g at the new
+point and back-solves with the factor it has: a chord, or simplified-Newton,
+step (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
+ch. 5). It takes the chord step while its predicted decrease -g^T delta / 2
+is at most _CHORD_RATE (0.1) times that of the step before, and factorizes H
+afresh when the prediction stalls or the chord step's line search fails.
+Chord steps converge linearly, so one ends the solve only when its decrease
+is at most _CHORD_STOP (1e-2) times the Gauss-Newton bound. Banded mode
+keeps plain Gauss-Newton: its factor is cheap (about 60 us at 900 unknowns,
+against about 1 ms for SuperLU), and on the near-rigid chains it serves,
+chord steps converge so slowly that 600-frame sessions took 4.9 steps per
+update in place of 3.1, and 1.29x the time.
+
 The index pattern that scatters those entries into H and g is a function
 of the factor keys, built in one pass whenever a variable or factor is
 added. H is block-sparse, one dense 3x3 block per pair of keys that share a
@@ -41,6 +55,12 @@ _TWO_PI = 2.0 * np.pi
 
 # Half-bandwidth above which the normal equations go to the sparse solver.
 _BAND_LIMIT = 48
+
+# Sparse mode's chord steps (see above): the largest ratio of a chord step's
+# predicted decrease to the step before's, and the factor on the relative
+# decrease that ends a solve after a chord step.
+_CHORD_RATE = 0.1
+_CHORD_STOP = 1e-2
 
 # In-block offsets, in row-major order: the upper triangle of a 3x3 block,
 # and all 9 entries.
@@ -113,6 +133,7 @@ class SolveReport:
     converged: bool
     duration_ms: float
     error_history: tuple[float, ...] = ()
+    factorizations: int = 0
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:
@@ -130,15 +151,6 @@ def _v_coeffs(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _v_exp(v: np.ndarray) -> np.ndarray:
-    a, b = _v_coeffs(v[:, 2])
-    out = np.empty_like(v)
-    out[:, 0] = a * v[:, 0] - b * v[:, 1]
-    out[:, 1] = b * v[:, 0] + a * v[:, 1]
-    out[:, 2] = _wrap(v[:, 2])
-    return out
-
-
 def _v_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized log, and its coefficient A for _v_dlog to reuse."""
     half = 0.5 * p[:, 2]
@@ -150,25 +162,28 @@ def _v_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, a
 
 
-def _v_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    c = np.cos(a[:, 2])
-    s = np.sin(a[:, 2])
+def _v_between(a: np.ndarray, b: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows of a^-1 b, given c and s, the cosine and sine of a's angles."""
     dx = b[:, 0] - a[:, 0]
     dy = b[:, 1] - a[:, 1]
-    out = np.empty_like(a)
+    out = np.empty_like(b)
     out[:, 0] = c * dx + s * dy
     out[:, 1] = -s * dx + c * dy
     out[:, 2] = _wrap(b[:, 2] - a[:, 2])
     return out
 
 
-def _v_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    c = np.cos(a[:, 2])
-    s = np.sin(a[:, 2])
-    out = np.empty_like(a)
-    out[:, 0] = a[:, 0] + c * b[:, 0] - s * b[:, 1]
-    out[:, 1] = a[:, 1] + s * b[:, 0] + c * b[:, 1]
-    out[:, 2] = _wrap(a[:, 2] + b[:, 2])
+def _retract(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows of x exp(v)."""
+    a, b = _v_coeffs(v[:, 2])
+    tx = a * v[:, 0] - b * v[:, 1]
+    ty = b * v[:, 0] + a * v[:, 1]
+    c = np.cos(x[:, 2])
+    s = np.sin(x[:, 2])
+    out = np.empty_like(x)
+    out[:, 0] = x[:, 0] + c * tx - s * ty
+    out[:, 1] = x[:, 1] + s * tx + c * ty
+    out[:, 2] = _wrap(x[:, 2] + _wrap(v[:, 2]))
     return out
 
 
@@ -213,6 +228,17 @@ def _jt_times(j: tuple, v: np.ndarray) -> list[np.ndarray]:
     p, q, e, f = j
     v0, v1 = v[:, 0], v[:, 1]
     return [p * v0 - q * v1, q * v0 + p * v1, e * v0 + f * v1 + v[:, 2]]
+
+
+def _jacobians(terms) -> tuple:
+    """(p, q, e, f) of every factor's J at the point terms came from, and of the between factors' -J_from.
+
+    A between factor's J is that of its to key, which, like the J of a
+    unary factor, is dlog of its pose error.
+    """
+    z, _, a, _, actual = terms
+    j = _v_dlog(z, a)
+    return j, _v_chain_from(tuple(x[len(z) - len(actual) :] for x in j), actual)
 
 
 def _is_key(key, n: int) -> bool:
@@ -271,13 +297,14 @@ class Smoother:
         # each key's first between factor into it, as a row of the _bt stores
         self._first_between_to: dict[int, int] = {}
         # unary store holds priors and measurements together; the residual
-        # and jacobian math is identical for both. *_info holds 1 / sigma^2.
+        # and jacobian math is identical for both. _un_vals and _bt_rel hold
+        # (x, y, theta, cos theta, sin theta), *_info holds 1 / sigma^2.
         self._un_keys = _Store(dtype=np.intp)
-        self._un_vals = _Store(width=3)
+        self._un_vals = _Store(width=5)
         self._un_info = _Store(width=3)
         self._bt_from = _Store(dtype=np.intp)
         self._bt_to = _Store(dtype=np.intp)
-        self._bt_rel = _Store(width=3)
+        self._bt_rel = _Store(width=5)
         self._bt_info = _Store(width=3)
         self._pattern_cache: dict | None = None
         # bumped by every change to the graph or the estimate
@@ -305,22 +332,26 @@ class Smoother:
         for key in factor.keys():
             if not _is_key(key, len(self._x)):
                 raise KeyError(f"factor references unknown variable {key}")
-        sx, sy, st = factor.noise.sigmas()
-        info = (1.0 / (sx * sx), 1.0 / (sy * sy), 1.0 / (st * st))
+        squares = [s * s for s in factor.noise.sigmas()]
+        # a sigma below ~1e-154 leaves 1 / sigma^2 no finite value
+        if min(squares) == 0.0 or not math.isfinite(1.0 / min(squares)):
+            raise ValidationError(f"noise sigmas {factor.noise.sigmas()} are too small to invert")
+        info = tuple(1.0 / q for q in squares)
         if isinstance(factor, (PriorFactor, MeasurementFactor)):
             value = factor.prior if isinstance(factor, PriorFactor) else factor.measured
             self._un_keys.append(factor.key)
-            self._un_vals.append(value.as_tuple())
-            self._un_info.append(info)
+            vals, infos = self._un_vals, self._un_info
         elif isinstance(factor, BetweenFactor):
             f, t = factor.key_from, factor.key_to
             self._first_between_to.setdefault(t, len(self._bt_from))
             self._bt_from.append(f)
             self._bt_to.append(t)
-            self._bt_rel.append(factor.relative.as_tuple())
-            self._bt_info.append(info)
+            value, vals, infos = factor.relative, self._bt_rel, self._bt_info
         else:
             raise TypeError(f"unsupported factor type {type(factor).__name__}")
+        # np.cos of one value equals the vectorized result bit for bit
+        vals.append(value.as_tuple() + (np.cos(value.theta), np.sin(value.theta)))
+        infos.append(info)
         self._version += 1
 
     def checkpoint(self) -> tuple:
@@ -377,7 +408,7 @@ class Smoother:
             row = self._first_between_to.get(key)
             if row is not None and bt_from[row] not in waiting:
                 base = Pose2(*X[bt_from[row]].tolist())
-                X[key] = base.compose(Pose2(*bt_rel[row].tolist())).as_tuple()
+                X[key] = base.compose(Pose2(*bt_rel[row, :3].tolist())).as_tuple()
             elif key > 0 and key - 1 not in waiting:
                 X[key] = X[key - 1]
             waiting.discard(key)
@@ -433,6 +464,12 @@ class Smoother:
         p["h_idx"] = np.concatenate([h.T.ravel() for h in places])
         # g: the rows of the block of the key measured or the to key, then of the from key
         p["g_rows"] = np.concatenate([(3 * k[:, :1] + _G3).T.ravel() for k in keys])
+        # every factor's constant pose with its cosine and sine, and its info,
+        # in the order of the terms _evaluate gives
+        p["consts"] = (
+            np.concatenate([self._un_vals.view(), self._bt_rel.view()]),
+            np.concatenate([self._un_info.view(), self._bt_info.view()]),
+        )
         self._pattern_cache = p
         return p
 
@@ -443,56 +480,67 @@ class Smoother:
         then the between factors' relative pose X_from^-1 X_to. z is the
         factor's pose error, r = log(z), A its _half_cot and info 1 / sigma^2.
         """
-        z_un = _v_between(self._un_vals.view(), X[self._un_keys.view()])
-        actual = _v_between(X[self._bt_from.view()], X[self._bt_to.view()])
-        z = np.concatenate([z_un, _v_between(self._bt_rel.view(), actual)])
+        vals, info = self._pattern()["consts"]
+        x_from = X[self._bt_from.view()]
+        actual = _v_between(x_from, X[self._bt_to.view()], np.cos(x_from[:, 2]), np.sin(x_from[:, 2]))
+        # the unary factors' measured poses, then the between factors' relative ones
+        z = _v_between(vals, np.concatenate([X[self._un_keys.view()], actual]), vals[:, 3], vals[:, 4])
         r, a = _v_log(z)
-        info = np.concatenate([self._un_info.view(), self._bt_info.view()])
         return 0.5 * float(np.vdot(r * r, info)), (z, r, a, info, actual)
 
-    def _linearize(self, terms, pattern: dict):
-        """Whitened normal equations (system, g) at the point terms came from.
+    @staticmethod
+    def _gradient(terms, jac: tuple, pattern: dict) -> np.ndarray:
+        """g = J^T W r at the point terms came from, given its _jacobians.
 
-        system holds the lower band of H in banded mode and is a CSC matrix in
+        Raises GaugeError when an entry is not finite.
+        """
+        z, r, _, info, actual = terms
+        j, jf = jac
+        v = info * r
+        # J_from = -jf: negating v negates the product
+        weights = np.concatenate(_jt_times(j, v) + _jt_times(jf, -v[len(z) - len(actual) :]))
+        g = np.bincount(pattern["g_rows"], weights=weights, minlength=pattern["dim"])
+        if not np.isfinite(g).all():
+            raise GaugeError("normal equations are not finite")
+        return g
+
+    @staticmethod
+    def _linearize(terms, jac: tuple, pattern: dict):
+        """The whitened H = J^T W J at the point terms came from, given its _jacobians.
+
+        It holds the lower band of H in banded mode and is a CSC matrix in
         sparse mode. Raises GaugeError when an entry is not finite, so that
         neither LAPACK nor SuperLU sees one.
         """
-        z, r, a, info, actual = terms
-        # J_to of a between factor, like J of a unary one, is dlog of z
-        j = _v_dlog(z, a)
-        v = info * r
+        z, _, _, info, actual = terms
+        j, jf = jac
         s = len(z) - len(actual)
-        jt = tuple(x[s:] for x in j)
-        jf = _v_chain_from(jt, actual)
         to = _info_sym(info, j)
-        # J_from = -jf: negating info or v negates the product
-        fr = _info_sym(info[s:], jf) + _info_block(-info[s:], jf, jt)
+        # J_from = -jf: negating info negates the product
+        fr = _info_sym(info[s:], jf) + _info_block(-info[s:], jf, tuple(x[s:] for x in j))
         if pattern["mode"] == "sparse":
             to += [to[i] for i in _TO_MIRROR]
             fr += [fr[i] for i in _FROM_MIRROR]
-        vals = np.concatenate(to + fr)
-        dim = pattern["dim"]
-        h = np.bincount(pattern["h_idx"], weights=vals, minlength=pattern["h_size"])
-        g = np.bincount(
-            pattern["g_rows"], weights=np.concatenate(_jt_times(j, v) + _jt_times(jf, -v[s:])), minlength=dim
-        )
-        if not (np.isfinite(h).all() and np.isfinite(g).all()):
+        h = np.bincount(pattern["h_idx"], weights=np.concatenate(to + fr), minlength=pattern["h_size"])
+        if not np.isfinite(h).all():
             raise GaugeError("normal equations are not finite")
+        dim = pattern["dim"]
         if pattern["mode"] == "banded":
-            return h.reshape(dim, pattern["u"] + 1).T, g
-        return scipy.sparse.csc_matrix((h, pattern["indices"], pattern["indptr"]), shape=(dim, dim)), g
+            return h.reshape(dim, pattern["u"] + 1).T
+        return scipy.sparse.csc_matrix((h, pattern["indices"], pattern["indptr"]), shape=(dim, dim))
 
     @staticmethod
     def _factorize(system, pattern: dict):
         """The solve of system: a function from a right-hand side to the solution."""
         if pattern["mode"] == "banded":
-            try:
-                # system is a fresh array that no caller reads again
-                cb = scipy.linalg.cholesky_banded(system, overwrite_ab=True, lower=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise GaugeError(f"normal equations are not positive definite: {exc}") from None
+            # LAPACK's banded Cholesky, without scipy's checking wrappers;
+            # system is a fresh array that no caller reads again
+            pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (system,))
+            cb, info = pbtrf(system, lower=1, overwrite_ab=1)
+            if info != 0:
+                raise GaugeError(f"normal equations are not positive definite: pbtrf info {info}")
             # the factor is finite, and so is rhs whenever the system was
-            return lambda rhs: scipy.linalg.cho_solve_banded((cb, True), rhs, check_finite=False)
+            return lambda rhs: pbtrs(cb, rhs, lower=1)[0]
         try:
             # relax=1, panel_size=1: no supernode relaxation and single-column
             # panels, which cut gstrf's fixed cost at pose-graph sizes
@@ -507,6 +555,20 @@ class Smoother:
         except RuntimeError as exc:
             raise GaugeError(f"normal equations are singular: {exc}") from None
         return lu.solve
+
+    def _line_search(self, X: np.ndarray, err: float, delta: np.ndarray):
+        """(trial, error, terms) at the first of X exp(delta), X exp(delta / 2), ... whose error is at most err.
+
+        None when max_step_halvings halvings find none.
+        """
+        alpha = 1.0
+        for _ in range(self.settings.max_step_halvings + 1):
+            trial = _retract(X, alpha * delta.reshape(-1, 3))
+            trial_err, trial_terms = self._evaluate(trial)
+            if trial_err <= err:
+                return trial, trial_err, trial_terms
+            alpha *= 0.5
+        return None
 
     # overflow shows up as a non-finite error or system, which raise GaugeError
     @np.errstate(all="ignore")
@@ -525,40 +587,55 @@ class Smoother:
         if not math.isfinite(err):
             raise GaugeError(f"factor error at the start point is not finite: {err}")
         history = [err]
-        iterations = 0
+        factorizations = 0
         solve = None
         converged = err <= cfg.absolute_tolerance
         if not converged:
+            sparse = pattern["mode"] == "sparse"
+            # every pass accepts one step, or ends the loop
             for _ in range(cfg.max_iterations):
-                system, g = self._linearize(terms, pattern)
-                solve = self._factorize(system, pattern)
-                delta = solve(-g)
-                if not np.all(np.isfinite(delta)):
-                    raise GaugeError("normal equations produced a non-finite step")
-                alpha = 1.0
-                for _ in range(cfg.max_step_halvings + 1):
-                    trial = _v_compose(X, _v_exp(alpha * delta.reshape(-1, 3)))
-                    trial_err, trial_terms = self._evaluate(trial)
-                    if trial_err <= err:
+                jac = _jacobians(terms)
+                g = self._gradient(terms, jac, pattern)
+                step = None
+                if sparse and solve is not None:
+                    # a chord step, with the factor of an earlier point, while
+                    # its predicted decrease falls geometrically; NaN fails the test
+                    delta = solve(-g)
+                    pred = -0.5 * float(g @ delta)
+                    chord = pred <= _CHORD_RATE * last_pred
+                    if chord:
+                        step = self._line_search(X, err, delta)
+                if step is None:
+                    # a Gauss-Newton step; g is still at X, as no step was accepted since
+                    chord = False
+                    solve = self._factorize(self._linearize(terms, jac, pattern), pattern)
+                    factorizations += 1
+                    delta = solve(-g)
+                    if not np.all(np.isfinite(delta)):
+                        raise GaugeError("normal equations produced a non-finite step")
+                    pred = -0.5 * float(g @ delta)
+                    step = self._line_search(X, err, delta)
+                    if step is None:
+                        # err is above absolute_tolerance here, or the loop would have ended
+                        converged = bool(np.max(np.abs(delta)) < 1e-10)
                         break
-                    alpha *= 0.5
-                else:
-                    # err is above absolute_tolerance here, or the loop would have ended
-                    converged = bool(np.max(np.abs(delta)) < 1e-10)
-                    break
-                X, terms = trial, trial_terms
-                iterations += 1
+                X, trial_err, terms = step
+                last_pred = pred
                 decrease = err - trial_err
                 prev = err
                 err = trial_err
                 history.append(err)
-                if err <= cfg.absolute_tolerance or decrease <= cfg.relative_tolerance * max(prev, 1e-300):
+                # chord steps converge linearly, so one small decrease shows less
+                tolerance = cfg.relative_tolerance * (_CHORD_STOP if chord else 1.0)
+                if err <= cfg.absolute_tolerance or decrease <= tolerance * max(prev, 1e-300):
                     converged = True
                     break
         if solve is None:
             # only a factorization shows that the normal equations are
             # regular, which a variable that no factor touches makes them not
-            solve = self._factorize(self._linearize(terms, pattern)[0], pattern)
+            solve = self._factorize(self._linearize(terms, _jacobians(terms), pattern), pattern)
+            factorizations += 1
+        iterations = len(history) - 1
         self._x.view()[:] = X
         self._pending.clear()
         self._n_solved = len(X)
@@ -574,6 +651,7 @@ class Smoother:
             converged=converged,
             duration_ms=(time.perf_counter() - t0) * 1e3,
             error_history=tuple(history),
+            factorizations=factorizations,
         )
 
     # ---- marginals ----------------------------------------------------------
@@ -593,7 +671,7 @@ class Smoother:
         if cache[2] is None:
             pattern = self._pattern()
             terms = cache[1] if cache[1] is not None else self._evaluate(self._x.view())[1]
-            system, _ = self._linearize(terms, pattern)
+            system = self._linearize(terms, _jacobians(terms), pattern)
             cache = (self._version, None, self._factorize(system, pattern))
             self._marginal_cache = cache
         return cache[2]

@@ -26,6 +26,20 @@ def simulate(out_dir, *extra):
     return out_dir
 
 
+def test_main_builds_its_parser_once_and_calls_the_current_command(tmp_path, monkeypatch):
+    from se2fusion import cli
+
+    simulate(tmp_path / "first", "--n-frames", 5)
+    builds, calls = [], []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1))
+    # a tracer swaps cmd_* in after main() has run
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: calls.append(args.out_dir) or 0)
+    assert run("simulate", "--out-dir", tmp_path / "second") == 0
+    assert calls == [str(tmp_path / "second")]
+    assert not (tmp_path / "second").exists()
+    assert builds == []
+
+
 # ---- simulate ----------------------------------------------------------------
 
 
@@ -80,6 +94,9 @@ def test_fuse_writes_outputs(tmp_path):
     assert report["n_frames"] == 40
     assert report["converged_all"] is True
     assert len(report["latencies_ms"]) == 40
+    # the default chain stays banded, where every step factorizes once
+    assert report["factorizations"] == report["iterations"]
+    assert len(report["factorizations"]) == 40
     assert report["max_update_ms"] >= report["mean_update_ms"] > 0.0
     est = read_trajectory_csv(out / "estimate.csv")
     online = read_trajectory_csv(out / "online.csv")

@@ -24,6 +24,7 @@ from se2fusion import (
     Twist2,
     ValidationError,
 )
+from se2fusion.smoother import _jacobians
 from support import make_rng, pose_diff, random_pose
 
 UNIT = DiagonalNoise(1.0, 1.0, 1.0)
@@ -42,6 +43,12 @@ def dense_normal_equations(n_vars, factors, values):
             for kb, jb in jac.items():
                 h[3 * ka : 3 * ka + 3, 3 * kb : 3 * kb + 3] += ja.T @ jb
     return h, g
+
+
+def linearize(s, terms, pattern):
+    """The smoother's own normal equations (system, g) at the point terms came from."""
+    jac = _jacobians(terms)
+    return s._linearize(terms, jac, pattern), s._gradient(terms, jac, pattern)
 
 
 def dense_batch_solve(n_vars, factors, init, iterations=200):
@@ -388,7 +395,7 @@ def smoother_normal_equations(s):
     """
     pattern = s._pattern()
     _, terms = s._evaluate(s._x.view())
-    system, g = s._linearize(terms, pattern)
+    system, g = linearize(s, terms, pattern)
     if pattern["mode"] == "sparse":
         return pattern["mode"], system.toarray(), np.asarray(g)
     dim = pattern["dim"]
@@ -460,7 +467,7 @@ def test_linearize_matches_factor_jacobians():
             # the stored entries. splu sorts a matrix out of canonical order
             # in place, and the matrix shares its indices with the cached
             # pattern, so every later assembly would scatter to stale places
-            system, _ = s._linearize(s._evaluate(s._x.view())[1], s._pattern())
+            system, _ = linearize(s, s._evaluate(s._x.view())[1], s._pattern())
             ref = _csc_reference(3 * n, factors)
             assert np.array_equal(system.indptr, ref.indptr)
             assert np.array_equal(system.indices, ref.indices)
@@ -655,7 +662,7 @@ def _scratch_normal_equations(s, factors):
     for f in factors:
         fresh.add_factor(f)
     pattern = fresh._pattern()
-    return pattern, fresh._linearize(fresh._evaluate(fresh._x.view())[1], pattern)
+    return pattern, linearize(fresh, fresh._evaluate(fresh._x.view())[1], pattern)
 
 
 def test_incremental_pattern_matches_one_built_from_scratch():
@@ -696,7 +703,7 @@ def test_incremental_pattern_matches_one_built_from_scratch():
         stage()
         pattern = s._pattern()
         assert pattern["mode"] == mode
-        system, g = s._linearize(s._evaluate(s._x.view())[1], pattern)
+        system, g = linearize(s, s._evaluate(s._x.view())[1], pattern)
         want_pattern, (want_system, want_g) = _scratch_normal_equations(s, factors)
         assert np.array_equal(g, want_g)
         if mode == "banded":
@@ -767,3 +774,136 @@ def test_truncate_returns_to_the_checkpoint():
         sm.update()
     assert s._pattern()["mode"] == "banded"
     assert s.estimate() == fresh.estimate()
+
+
+def _gauss_newton_history(s):
+    """error_history of plain Gauss-Newton from s's start point, one factorization per step.
+
+    It runs s's own evaluation, assembly, factorization and line search,
+    and changes nothing in s.
+    """
+    cfg = s.settings
+    pattern = s._pattern()
+    x = s._x.view().copy()
+    s._activate_pending(x)
+    err, terms = s._evaluate(x)
+    history = [err]
+    for _ in range(cfg.max_iterations if err > cfg.absolute_tolerance else 0):
+        jac = _jacobians(terms)
+        solve = s._factorize(s._linearize(terms, jac, pattern), pattern)
+        step = s._line_search(x, err, solve(-s._gradient(terms, jac, pattern)))
+        if step is None:
+            break
+        prev = err
+        x, err, terms = step
+        history.append(err)
+        if err <= cfg.absolute_tolerance or prev - err <= cfg.relative_tolerance * max(prev, 1e-300):
+            break
+    return history
+
+
+@pytest.mark.parametrize("meas_sigma, odo_sigma", [((0.5, 2.0), (0.02, 0.1)), ((10.0, 20.0), (0.01, 0.03))])
+def test_banded_updates_are_plain_gauss_newton(meas_sigma, odo_sigma):
+    # the second chain is near-rigid, as the simulator's defaults make it
+    rng = make_rng(107)
+    s = Smoother()
+    for factors in _random_incremental_graph(rng, 60, meas_sigma, odo_sigma, closure_rate=0.0):
+        s.add_variable()
+        for f in factors:
+            s.add_factor(f)
+        want = _gauss_newton_history(s)
+        report = s.update()
+        assert s._pattern()["mode"] == "banded"
+        assert report.factorizations == report.iterations
+        assert report.error_history == tuple(want)
+
+
+def test_sparse_updates_reuse_the_factorization():
+    rng = make_rng(112)
+    steps = _random_incremental_graph(rng, 80, meas_sigma=(0.01, 0.05), odo_sigma=(0.002, 0.008))
+    s = Smoother()
+    sparse = []
+    for factors in steps:
+        s.add_variable()
+        for f in factors:
+            s.add_factor(f)
+        report = s.update()
+        if s._pattern()["mode"] == "sparse":
+            sparse.append(report)
+    assert len(sparse) >= 40
+    assert sum(r.factorizations for r in sparse) <= 1.5 * len(sparse)
+    assert sum(r.iterations for r in sparse) > sum(r.factorizations for r in sparse)
+
+
+def _cold_start_loop_graph(seed, n=40):
+    """Factors of a sparse loop graph with turns up to 1.2 rad per step, and start values off by up to 2 m and 1 rad."""
+    rng = make_rng(seed)
+    truth = [Pose2(0, 0, 0)]
+    for _ in range(1, n):
+        truth.append(truth[-1].compose(Pose2(rng.uniform(0.5, 1.5), rng.uniform(-0.2, 0.2), rng.uniform(-1.2, 1.2))))
+    fix, odo = DiagonalNoise(0.05, 0.05, 0.05), DiagonalNoise(0.01, 0.01, 0.01)
+
+    def noisy(p, sig):
+        return Pose2(*(np.array(p.as_tuple()) + rng.normal(0.0, sig.sigmas())))
+
+    factors = [PriorFactor(0, truth[0], fix)]
+    for k in range(1, n):
+        factors.append(BetweenFactor(k - 1, k, noisy(truth[k - 1].between(truth[k]), odo), odo))
+        if rng.random() < 0.5:
+            factors.append(MeasurementFactor(k, noisy(truth[k], fix), fix))
+        if k >= 20 and rng.random() < 0.2:
+            j = int(rng.integers(0, k - 15))
+            factors.append(BetweenFactor(j, k, noisy(truth[j].between(truth[k]), fix), fix))
+    init = {k: Pose2(p.x + rng.uniform(-2, 2), p.y + rng.uniform(-2, 2), p.theta + rng.uniform(-1, 1)) for k, p in enumerate(truth)}
+    return factors, init
+
+
+def _traced_batch_solve(settings, factors, init):
+    """A smoother that solved factors from init in one update, its report, and its line searches and factorizations in order."""
+    s = Smoother(settings)
+    for k in range(len(init)):
+        s.add_variable(init[k])
+    for f in factors:
+        s.add_factor(f)
+    events = []
+    line_search, factorize = s._line_search, s._factorize
+
+    def traced_line_search(*args):
+        step = line_search(*args)
+        events.append("step" if step is not None else "no step")
+        return step
+
+    def traced_factorize(*args):
+        events.append("factorize")
+        return factorize(*args)
+
+    s._line_search, s._factorize = traced_line_search, traced_factorize
+    report = s.update()
+    assert s._pattern()["mode"] == "sparse"
+    return s, report, events
+
+
+@pytest.mark.parametrize("seed", [120, 121, 122])
+def test_cold_start_with_chord_stalls_matches_oracle(seed):
+    factors, init = _cold_start_loop_graph(seed)
+    s, report, events = _traced_batch_solve(SmootherSettings(), factors, init)
+    # chord steps were taken, and stalled into fresh factorizations
+    assert report.converged
+    assert 2 <= report.factorizations < report.iterations
+    assert events.count("factorize") == report.factorizations
+    oracle = dense_batch_solve(len(init), factors, init)
+    assert max(pose_diff(s.pose_estimate(k), oracle[k]) for k in range(len(init))) < 1e-6
+
+
+def test_chord_step_without_descent_falls_back_to_a_full_step():
+    # without halvings, an overshooting chord step fails its line search
+    factors, init = _cold_start_loop_graph(120)
+    s, report, events = _traced_batch_solve(SmootherSettings(max_step_halvings=0), factors, init)
+    # a failed Gauss-Newton line search ends the solve, so a failed one
+    # followed by a factorization was a chord step's
+    fallbacks = [i for i in range(len(events) - 2) if events[i : i + 3] == ["no step", "factorize", "step"]]
+    assert fallbacks
+    assert report.converged
+    assert report.iterations == events.count("step")
+    oracle = dense_batch_solve(len(init), factors, init)
+    assert max(pose_diff(s.pose_estimate(k), oracle[k]) for k in range(len(init))) < 1e-6

@@ -1,0 +1,239 @@
+"""Stateful model test of Smoother: a rejected call changes nothing, and every mutation invalidates every cache.
+
+Hypothesis runs add_variable, add_factor, update, checkpoint/truncate and
+marginal_sigma in any order. The machine keeps the variables and factors the
+smoother holds, and checks three things:
+- a call that raises leaves the stores, the estimate, the pending keys and
+  the marginal cache as they were, byte for byte;
+- update() fails just when a fresh smoother's batch solve of the same graph
+  fails, and after a successful one the estimate matches that solve to
+  1e-6, as criterion 3 asks;
+- marginal_sigma matches sqrt(diag(H^-1)) of the dense normal equations of
+  test_smoother.py at the estimate, for a key drawn by a rule, and for the
+  newest key after every rule that changed the graph or the estimate.
+
+Every factor is drawn around one smooth path, within its sigmas, so both
+solves start near the same single minimum. Some fixes lie so far off the
+path that their error overflows, which keeps update() failing until
+truncate() drops them; some have sigmas too small to invert, which
+add_factor rejects.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule  # noqa: E402
+
+from se2fusion import (  # noqa: E402
+    BetweenFactor,
+    DiagonalNoise,
+    GaugeError,
+    MeasurementFactor,
+    Pose2,
+    PriorFactor,
+    Smoother,
+    ValidationError,
+)
+from support import pose_diff  # noqa: E402
+from test_smoother import dense_normal_equations  # noqa: E402
+
+FIX = DiagonalNoise(0.05, 0.05, 0.05)
+ODOMETRY = DiagonalNoise(0.005, 0.005, 0.005)
+STORES = ("_un_keys", "_un_vals", "_un_info", "_bt_from", "_bt_to", "_bt_rel", "_bt_info")
+
+# offsets of a factor's value from the path, in sigmas
+OFFSETS = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+def path(key: int) -> Pose2:
+    """The pose every factor on key is drawn around."""
+    return Pose2(float(key), 2.0 * math.sin(0.2 * key), 0.4 * math.sin(0.3 * key))
+
+
+def off(pose: Pose2, offset, noise: DiagonalNoise) -> Pose2:
+    return Pose2(*(a + o * s for a, o, s in zip(pose.as_tuple(), offset, noise.sigmas())))
+
+
+def state(s: Smoother) -> tuple:
+    """The graph and the estimate, byte for byte."""
+    stores = tuple(getattr(s, name).view().tobytes() for name in STORES)
+    return stores + (s._x.view().tobytes(), tuple(s._pending), s._n_solved, dict(s._first_between_to))
+
+
+class SmootherModel(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.s = Smoother()
+        # the guess of each variable (None: pending) and the factors added
+        self.guesses: list = []
+        self.factors: list = []
+        # per checkpoint: its mark, the model's sizes then and the smoother's state then
+        self.marks: list = []
+        # counts the calls that changed the graph or the estimate, and its value at the last marginal check
+        self.changes = 0
+        self.checked = -1
+
+    def rejected(self, call, *errors) -> bool:
+        """Whether call raised one of errors; if it did, it changed nothing."""
+        before, version, cache = state(self.s), self.s._version, self.s._marginal_cache
+        try:
+            call()
+        except errors:
+            assert state(self.s) == before
+            assert self.s._version == version and self.s._marginal_cache is cache
+            return True
+        return False
+
+    def key(self, data):
+        """A key of a variable, or one out of range or not an integer, one time in five."""
+        n = len(self.guesses)
+        bad = st.sampled_from([-1, n, 1.5, True])
+        return data.draw(st.one_of(*[st.integers(0, n - 1)] * 4, bad) if n else bad)
+
+    def add(self, factor) -> None:
+        if not self.rejected(lambda: self.s.add_factor(factor), KeyError, ValidationError):
+            self.factors.append(factor)
+            self.changes += 1
+
+    @initialize(n=st.integers(17, 24))
+    def chain(self, n):
+        """n poses with fixes and odometry, solved once: enough for a loop closure to reach sparse mode."""
+        for k in range(n):
+            self.add_variable(False, (0.0, 0.0, 0.0))
+            self.add(MeasurementFactor(k, path(k), FIX))
+            if k:
+                self.add(BetweenFactor(k - 1, k, path(k - 1).between(path(k)), ODOMETRY))
+        self.solve()
+
+    # at most 40 poses, which bounds the cost of the dense oracle
+    @precondition(lambda self: len(self.guesses) < 40)
+    @rule(guess=st.booleans(), offset=OFFSETS)
+    def add_variable(self, guess, offset):
+        key = len(self.guesses)
+        value = off(path(key), offset, DiagonalNoise(0.3, 0.3, 0.2)) if guess else None
+        assert self.s.add_variable(value) == key
+        self.guesses.append(value)
+        self.changes += 1
+
+    @rule(data=st.data(), prior=st.booleans(), offset=OFFSETS, overflow=st.integers(0, 9))
+    def add_unary(self, data, prior, offset, overflow):
+        key = self.key(data)
+        kind = PriorFactor if prior else MeasurementFactor
+        if overflow == 1:
+            # a fix whose squared error overflows, which update() rejects
+            self.add(kind(key, Pose2(1e300, -1e300, 0.0), FIX))
+        elif overflow == 2:
+            # sigmas whose 1 / sigma^2 has no finite value, which add_factor rejects
+            self.add(kind(key, path(int(key)), DiagonalNoise(1.0, data.draw(st.sampled_from([1e-160, 1e-200])), 1.0)))
+        else:
+            self.add(kind(key, off(path(int(key)), offset, FIX), FIX))
+
+    @rule(data=st.data(), offset=OFFSETS)
+    def add_between(self, data, offset):
+        a, b = self.key(data), self.key(data)
+        if a == b:
+            return
+        noise = ODOMETRY if abs(a - b) == 1 else FIX
+        self.add(BetweenFactor(a, b, off(path(int(a)).between(path(int(b))), offset, noise), noise))
+
+    @precondition(lambda self: len(self.guesses) > 16)
+    @rule(data=st.data(), offset=OFFSETS)
+    def add_loop_closure(self, data, offset):
+        """A between factor over 16 keys or more, which sends the solve to sparse mode."""
+        n = len(self.guesses)
+        a = data.draw(st.integers(0, n - 17))
+        b = data.draw(st.integers(a + 16, n - 1))
+        self.add(BetweenFactor(b, a, off(path(b).between(path(a)), offset, FIX), FIX))
+
+    @precondition(lambda self: len(self.guesses) < 40)
+    @rule(frames=st.lists(st.tuples(OFFSETS, st.integers(0, 3)), min_size=1, max_size=3))
+    def add_frames(self, frames):
+        """Poses with odometry and a fix, each dropped again if update() rejects it, as the stream driver adds frames.
+
+        The frame after a rejected one has the same store sizes, which a
+        stale pattern cache would fit.
+        """
+        for offset, overflow in frames:
+            self.checkpoint()
+            k = len(self.guesses)
+            self.add_variable(False, offset)
+            if k:
+                self.add(BetweenFactor(k - 1, k, off(path(k - 1).between(path(k)), offset, ODOMETRY), ODOMETRY))
+            fix = Pose2(1e300, 0.0, 0.0) if overflow == 0 else off(path(k), offset, FIX)
+            self.add(MeasurementFactor(k, fix, FIX))
+            if self.solve():
+                self.marks.pop()
+            else:
+                self.drop_to_mark()
+
+    @rule()
+    def update(self):
+        self.solve()
+
+    def solve(self) -> bool:
+        """update(), and whether it succeeded."""
+        fresh = Smoother()
+        for guess in self.guesses:
+            fresh.add_variable(guess)
+        for f in self.factors:
+            fresh.add_factor(f)
+        try:
+            fresh.update()
+        except GaugeError:
+            fresh = None
+        # a rejected update() is one that a fresh solve of the graph rejects too
+        if self.rejected(self.s.update, GaugeError):
+            assert fresh is None
+            return False
+        self.changes += 1
+        assert fresh is not None
+        got, want = self.s.estimate(), fresh.estimate()
+        assert len(got) == len(self.guesses)
+        assert max(pose_diff(got[k], want[k]) for k in got) < 1e-6
+        return True
+
+    @rule()
+    def checkpoint(self):
+        self.marks.append((self.s.checkpoint(), len(self.guesses), len(self.factors), state(self.s)))
+
+    @rule()
+    def truncate(self):
+        if self.marks:
+            self.drop_to_mark()
+
+    def drop_to_mark(self):
+        mark, n_vars, n_factors, then = self.marks.pop()
+        self.s.truncate(mark)
+        del self.guesses[n_vars:], self.factors[n_factors:]
+        self.changes += 1
+        assert state(self.s) == then
+
+    @rule(data=st.data())
+    def marginal_sigma(self, data):
+        self.check_marginal(self.key(data))
+
+    @invariant()
+    def marginal_of_the_newest_key(self):
+        # after each rule that changed something, which a stale cache would
+        # outlive; add_frames reads none between a rejected frame and the
+        # next, which would rebuild a stale pattern
+        if self.changes != self.checked:
+            self.checked = self.changes
+            self.check_marginal(len(self.guesses) - 1)
+
+    def check_marginal(self, key):
+        sigma = []
+        if self.rejected(lambda: sigma.extend(self.s.marginal_sigma(key)), KeyError, RuntimeError, GaugeError):
+            return
+        h, _ = dense_normal_equations(len(self.guesses), self.factors, self.s.estimate())
+        want = np.sqrt(np.diag(np.linalg.inv(h))[3 * key : 3 * key + 3])
+        assert np.allclose(sigma, want, rtol=1e-6, atol=0.0)
+
+
+TestSmootherModel = SmootherModel.TestCase
+TestSmootherModel.settings = settings(max_examples=50, stateful_step_count=30, deadline=None)
