@@ -3,7 +3,7 @@
 from .geometry import Pose2, Twist2, normalize_angle
 from .noise import DiagonalNoise, MEASUREMENT_DEFAULT, ODOMETRY_DEFAULT, PRIOR_DEFAULT
 from .factors import BetweenFactor, MeasurementFactor, PriorFactor
-from .smoother import GaugeError, Smoother, SmootherSettings, SolveReport
+from .smoother import GaugeError, Smoother, SolveReport
 from .odometry import AccumulatedEdge, OdometrySample, accumulate
 from .simulate import SimConfig, SimOutput, generate, raw_measurement_rmse
 from .dataset import (
@@ -36,7 +36,6 @@ __all__ = [
     "SimConfig",
     "SimOutput",
     "Smoother",
-    "SmootherSettings",
     "SolveReport",
     "TrajectoryRecord",
     "Twist2",

@@ -21,10 +21,6 @@ class DiagonalNoise:
             if not (math.isfinite(s) and s > 0.0):
                 raise ValueError(f"sigmas must be finite and positive, got {s!r}")
 
-    @staticmethod
-    def from_sigmas(sigmas: tuple[float, float, float]) -> DiagonalNoise:
-        return DiagonalNoise(*sigmas)
-
     def sigmas(self) -> tuple[float, float, float]:
         return (self.sigma_x, self.sigma_y, self.sigma_theta)
 

@@ -34,6 +34,14 @@ SuperLU runs with relax=1 and panel_size=1: at pose-graph sizes, a few
 hundred to a few thousand unknowns, supernode relaxation and wide panels
 cost more than they save. On a 900-unknown loop graph that cut the
 factorization to 0.55x its time with the defaults, with the same fill.
+
+The graph and the estimate are one immutable snapshot, a _Graph: adding a
+variable or a factor builds new arrays, and update() commits its working
+copy as the estimate. checkpoint() returns the snapshot, in O(1), and
+truncate() puts any mark back, earlier or later, graph and estimate alike.
+The caches keep what they were built from and compare it by identity, so
+no change has to drop them (Driscoll, Sarnak, Sleator and Tarjan, Making
+Data Structures Persistent, JCSS 1989).
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -49,12 +58,20 @@ import scipy.sparse.linalg
 
 from .errors import ValidationError
 from .factors import BetweenFactor, Factor, MeasurementFactor, PriorFactor, _half_cot, _v_chain_from, _v_dlog
-from .geometry import Pose2
+from .geometry import SMALL_ANGLE, Pose2
 
 _TWO_PI = 2.0 * np.pi
 
 # Half-bandwidth above which the normal equations go to the sparse solver.
 _BAND_LIMIT = 48
+
+# update() takes at most _MAX_ITERATIONS steps, each halved at most
+# _MAX_STEP_HALVINGS times to find a decrease, and stops at an error of at
+# most _ABSOLUTE_TOLERANCE or a step that cuts it by _RELATIVE_TOLERANCE or less.
+_MAX_ITERATIONS = 100
+_RELATIVE_TOLERANCE = 1e-9
+_ABSOLUTE_TOLERANCE = 1e-12
+_MAX_STEP_HALVINGS = 10
 
 # Sparse mode's chord steps (see above): the largest ratio of a chord step's
 # predicted decrease to the step before's, and the factor on the relative
@@ -106,24 +123,6 @@ class GaugeError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SmootherSettings:
-    max_iterations: int = 100
-    relative_tolerance: float = 1e-9
-    absolute_tolerance: float = 1e-12
-    max_step_halvings: int = 10
-
-    def __post_init__(self) -> None:
-        for name in ("max_iterations", "max_step_halvings"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise ValidationError(f"{name} must be an integer >= 0, got {v!r}")
-        for name in ("relative_tolerance", "absolute_tolerance"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
-                raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Outcome of one update() call."""
 
@@ -142,7 +141,7 @@ def _wrap(a: np.ndarray) -> np.ndarray:
 
 
 def _v_coeffs(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    small = np.abs(th) < 1e-6
+    small = np.abs(th) < SMALL_ANGLE
     safe = np.where(small, 1.0, th)
     t2 = th * th
     h = np.sin(0.5 * th)
@@ -246,91 +245,55 @@ def _is_key(key, n: int) -> bool:
     return isinstance(key, (int, np.integer)) and not isinstance(key, bool) and 0 <= key < n
 
 
-class _Store:
-    """Append-only array with amortized doubling.
+class _Graph(NamedTuple):
+    """The graph and the estimate at one moment. Nothing writes into its arrays.
 
-    Appended rows wait in a list and are copied into the array in one go
-    when it is next read, which keeps a single append cheap.
+    x holds every variable's value; pending, in key order, the keys added
+    without one, which update() gives one; the first n_solved have an
+    estimate. un holds the priors and measurements, whose math is the same,
+    and bt the between factors: a row each of (x, y, theta, cos theta,
+    sin theta) and 1 / sigma^2. un_keys holds the key measured, and bt_keys
+    the from and the to keys as two rows.
     """
 
-    def __init__(self, width: int | None = None, dtype=np.float64):
-        self.a = np.zeros((16,) if width is None else (16, width), dtype=dtype)
-        self.n = 0
-        self._tail: list = []
-
-    def __len__(self) -> int:
-        return self.n + len(self._tail)
-
-    def append(self, row) -> None:
-        self._tail.append(row)
-
-    def truncate(self, n: int) -> None:
-        """Keep the first n rows."""
-        self.view()
-        self.n = n
-
-    def view(self) -> np.ndarray:
-        if self._tail:
-            tail, self._tail = self._tail, []
-            need = self.n + len(tail)
-            if need > len(self.a):
-                cap = len(self.a)
-                while cap < need:
-                    cap *= 2
-                grown = np.zeros((cap,) + self.a.shape[1:], dtype=self.a.dtype)
-                grown[: self.n] = self.a[: self.n]
-                self.a = grown
-            self.a[self.n : need] = tail
-            self.n = need
-        return self.a[: self.n]
+    x: np.ndarray = np.zeros((0, 3))
+    pending: tuple[int, ...] = ()
+    n_solved: int = 0
+    un_keys: np.ndarray = np.zeros(0, np.intp)
+    un: np.ndarray = np.zeros((0, 8))
+    bt_keys: np.ndarray = np.zeros((2, 0), np.intp)
+    bt: np.ndarray = np.zeros((0, 8))
 
 
 class Smoother:
     """Growing pose graph with per-call batch re-solve semantics."""
 
-    def __init__(self, settings: SmootherSettings | None = None):
-        self.settings = settings or SmootherSettings()
-        self._n_solved = 0
-        self._x = _Store(width=3)
-        # the keys added without a value, which update() gives one
-        self._pending: list[int] = []
-        # each key's first between factor into it, as a row of the _bt stores
-        self._first_between_to: dict[int, int] = {}
-        # unary store holds priors and measurements together; the residual
-        # and jacobian math is identical for both. _un_vals and _bt_rel hold
-        # (x, y, theta, cos theta, sin theta), *_info holds 1 / sigma^2.
-        self._un_keys = _Store(dtype=np.intp)
-        self._un_vals = _Store(width=5)
-        self._un_info = _Store(width=3)
-        self._bt_from = _Store(dtype=np.intp)
-        self._bt_to = _Store(dtype=np.intp)
-        self._bt_rel = _Store(width=5)
-        self._bt_info = _Store(width=3)
+    def __init__(self):
+        self._graph = _Graph()
         self._pattern_cache: dict | None = None
-        # bumped by every change to the graph or the estimate
-        self._version = 0
-        # (version, residual terms, solve) at the estimate
-        self._marginal_cache: tuple | None = None
+        # (graph, residual terms, solve) at graph's estimate
+        self._marginal_cache: tuple = (None, None, None)
 
     # ---- graph construction -------------------------------------------------
 
     @property
     def num_variables(self) -> int:
-        return len(self._x)
+        return len(self._graph.x)
 
     def add_variable(self, initial_guess: Pose2 | None = None) -> int:
-        key = len(self._x)
+        g = self._graph
+        key = len(g.x)
         if initial_guess is not None:
-            self._x.append(initial_guess.as_tuple())
+            row, pending = initial_guess.as_tuple(), g.pending
         else:
-            self._x.append((0.0, 0.0, 0.0))
-            self._pending.append(key)
-        self._version += 1
+            row, pending = (0.0, 0.0, 0.0), g.pending + (key,)
+        self._graph = g._replace(x=np.concatenate([g.x, [row]]), pending=pending)
         return key
 
     def add_factor(self, factor: Factor) -> None:
+        g = self._graph
         for key in factor.keys():
-            if not _is_key(key, len(self._x)):
+            if not _is_key(key, len(g.x)):
                 raise KeyError(f"factor references unknown variable {key}")
         squares = [s * s for s in factor.noise.sigmas()]
         # a sigma below ~1e-154 leaves 1 / sigma^2 no finite value
@@ -339,60 +302,41 @@ class Smoother:
         info = tuple(1.0 / q for q in squares)
         if isinstance(factor, (PriorFactor, MeasurementFactor)):
             value = factor.prior if isinstance(factor, PriorFactor) else factor.measured
-            self._un_keys.append(factor.key)
-            vals, infos = self._un_vals, self._un_info
         elif isinstance(factor, BetweenFactor):
-            f, t = factor.key_from, factor.key_to
-            self._first_between_to.setdefault(t, len(self._bt_from))
-            self._bt_from.append(f)
-            self._bt_to.append(t)
-            value, vals, infos = factor.relative, self._bt_rel, self._bt_info
+            value = factor.relative
         else:
             raise TypeError(f"unsupported factor type {type(factor).__name__}")
         # np.cos of one value equals the vectorized result bit for bit
-        vals.append(value.as_tuple() + (np.cos(value.theta), np.sin(value.theta)))
-        infos.append(info)
-        self._version += 1
+        row = [value.as_tuple() + (np.cos(value.theta), np.sin(value.theta)) + info]
+        keys = np.array(factor.keys(), np.intp)
+        if isinstance(factor, BetweenFactor):
+            self._graph = g._replace(bt_keys=np.column_stack([g.bt_keys, keys]), bt=np.concatenate([g.bt, row]))
+        else:
+            self._graph = g._replace(un_keys=np.concatenate([g.un_keys, keys]), un=np.concatenate([g.un, row]))
 
-    def checkpoint(self) -> tuple:
+    def checkpoint(self) -> _Graph:
         """A mark of the graph and the estimate, for truncate() to return to."""
-        sizes = (len(self._un_keys), len(self._bt_from))
-        return sizes + (self._x.view().copy(), tuple(self._pending), self._n_solved)
+        return self._graph
 
-    def truncate(self, mark: tuple) -> None:
-        """Drop every variable and factor added since checkpoint() gave mark, and any estimate since.
-
-        The stores only grow, so this shortens them and restores the estimate.
-        """
-        n_un, n_bt, x, pending, self._n_solved = mark
-        self._x.truncate(len(x))
-        self._x.view()[:] = x
-        self._pending = list(pending)
-        for store in (self._un_keys, self._un_vals, self._un_info):
-            store.truncate(n_un)
-        for store in (self._bt_from, self._bt_to, self._bt_rel, self._bt_info):
-            store.truncate(n_bt)
-        self._first_between_to = {k: row for k, row in self._first_between_to.items() if row < n_bt}
-        self._pattern_cache = None
-        self._marginal_cache = None
-        self._version += 1
+    def truncate(self, mark: _Graph) -> None:
+        """Return the graph and the estimate to those of mark, whichever checkpoint() of this smoother gave it."""
+        self._graph = mark
 
     # ---- estimates ----------------------------------------------------------
 
     def estimate(self) -> dict[int, Pose2]:
-        if self._n_solved == 0:
+        g = self._graph
+        if g.n_solved == 0:
             raise RuntimeError("estimate requested before the first update")
-        return {k: self._pose_at(k) for k in range(self._n_solved)}
+        return {k: Pose2(*g.x[k].tolist()) for k in range(g.n_solved)}
 
     def pose_estimate(self, key: int) -> Pose2:
-        if self._n_solved == 0:
+        g = self._graph
+        if g.n_solved == 0:
             raise RuntimeError("estimate requested before the first update")
-        if not _is_key(key, self._n_solved):
+        if not _is_key(key, g.n_solved):
             raise KeyError(f"variable {key} has no estimate yet")
-        return self._pose_at(key)
-
-    def _pose_at(self, key: int) -> Pose2:
-        return Pose2(*self._x.view()[key].tolist())
+        return Pose2(*g.x[key].tolist())
 
     # ---- solving ------------------------------------------------------------
 
@@ -402,13 +346,19 @@ class Smoother:
         A key follows its first between factor from a key with a value, else
         copies the previous key's value, else stays at the origin.
         """
-        bt_from, bt_rel = self._bt_from.view(), self._bt_rel.view()
-        waiting = set(self._pending)
-        for key in self._pending:
-            row = self._first_between_to.get(key)
+        g = self._graph
+        bt_from, bt_to = g.bt_keys
+        # each pending key's first between factor into it, from one pass over
+        # the rows into the first pending key or a later one: built from the
+        # last row back, the dict keeps each key's first
+        rows = np.flatnonzero(bt_to >= g.pending[0])[::-1]
+        first_row = dict(zip(bt_to[rows].tolist(), rows.tolist()))
+        waiting = set(g.pending)
+        for key in g.pending:
+            row = first_row.get(key)
             if row is not None and bt_from[row] not in waiting:
                 base = Pose2(*X[bt_from[row]].tolist())
-                X[key] = base.compose(Pose2(*bt_rel[row, :3].tolist())).as_tuple()
+                X[key] = base.compose(Pose2(*g.bt[row, :3].tolist())).as_tuple()
             elif key > 0 and key - 1 not in waiting:
                 X[key] = X[key - 1]
             waiting.discard(key)
@@ -416,29 +366,31 @@ class Smoother:
     def _pattern(self) -> dict:
         """Solver mode and where each H and g entry of _linearize goes.
 
-        A function of the key stores, built in one pass whenever their sizes
-        change. _linearize emits the entries of the to side, then those of
-        the from side, each entry-major: entry i of every factor, then entry
-        i + 1. Banded mode places H entry (r, c) at (max, min) of the lower
-        band, stored column after column. Sparse mode stores the full matrix
-        in CSC form: the dense 3x3 blocks of the key pairs that share a
-        factor, sorted by col << 32 | row key. Column 3b + j starts after the
-        9 before[b] entries of the blocks left of block column b and holds
-        3 per_col[b], so entry (i, j) of the block at slot s of that order
-        lies at 6 before[b] + 3 s + 3 per_col[b] j + i.
+        A function of the factor keys and the number of variables, built in
+        one pass whenever they change. _linearize emits the entries of the
+        to side, then those of the from side, each entry-major: entry i of
+        every factor, then entry i + 1. Banded mode places H entry (r, c) at
+        (max, min) of the lower band, stored column after column. Sparse
+        mode stores the full matrix in CSC form: the dense 3x3 blocks of the
+        key pairs that share a factor, sorted by col << 32 | row key. Column
+        3b + j starts after the 9 before[b] entries of the blocks left of
+        block column b and holds 3 per_col[b], so entry (i, j) of the block
+        at slot s of that order lies at 6 before[b] + 3 s + 3 per_col[b] j + i.
         """
-        dim = 3 * len(self._x)
-        state = (len(self._un_keys), len(self._bt_from), dim)
+        g = self._graph
+        dim = 3 * len(g.x)
         p = self._pattern_cache
-        if p is not None and p["state"] == state:
+        # add_factor replaces un with un_keys and bt with bt_keys, so the
+        # constants below are those of the keys the cache holds
+        if p is not None and p["un_keys"] is g.un_keys and p["bt_keys"] is g.bt_keys and p["dim"] == dim:
             return p
-        bt_from, bt_to = self._bt_from.view(), self._bt_to.view()
+        bt_from, bt_to = g.bt_keys
         max_span = int(np.abs(bt_to - bt_from).max(initial=0))
         u = min(3 * max_span + 2, max(dim - 1, 0))
         mode = "banded" if u <= _BAND_LIMIT else "sparse"
         # one row per factor: the key measured or the to key; the from and the to key
-        keys = [np.concatenate([self._un_keys.view(), bt_to])[:, None], np.column_stack([bt_from, bt_to])]
-        p = {"mode": mode, "u": u, "dim": dim, "state": state}
+        keys = [np.concatenate([g.un_keys, bt_to])[:, None], np.column_stack([bt_from, bt_to])]
+        p = {"mode": mode, "u": u, "dim": dim, "un_keys": g.un_keys, "bt_keys": g.bt_keys}
         if mode == "banded":
             cells = [(3 * k[:, e[0]] + e[1], 3 * k[:, e[2]] + e[3]) for e, k in zip(_ENTRIES[mode], keys)]
             places = [np.minimum(r, c) * u + np.maximum(r, c) for r, c in cells]
@@ -447,7 +399,7 @@ class Smoother:
             blocks = [(k[:, c % 2] << 32) | k[:, c // 2] for (c, _), k in zip(_BLOCKS, keys)]
             csc, slot = np.unique(np.concatenate([b.ravel() for b in blocks]), return_inverse=True)
             col = csc >> 32
-            per_col = np.bincount(col, minlength=len(self._x))
+            per_col = np.bincount(col, minlength=len(g.x))
             before = np.cumsum(per_col) - per_col
             # the place of entry (i, j) of the block at slot s, at 9 s + 3 i + j
             at = ((6 * before[col] + 3 * np.arange(len(csc)))[:, None] + 3 * per_col[col, None] * _CJ + _CI).ravel()
@@ -466,10 +418,7 @@ class Smoother:
         p["g_rows"] = np.concatenate([(3 * k[:, :1] + _G3).T.ravel() for k in keys])
         # every factor's constant pose with its cosine and sine, and its info,
         # in the order of the terms _evaluate gives
-        p["consts"] = (
-            np.concatenate([self._un_vals.view(), self._bt_rel.view()]),
-            np.concatenate([self._un_info.view(), self._bt_info.view()]),
-        )
+        p["consts"] = (np.concatenate([g.un[:, :5], g.bt[:, :5]]), np.concatenate([g.un[:, 5:], g.bt[:, 5:]]))
         self._pattern_cache = p
         return p
 
@@ -481,10 +430,12 @@ class Smoother:
         factor's pose error, r = log(z), A its _half_cot and info 1 / sigma^2.
         """
         vals, info = self._pattern()["consts"]
-        x_from = X[self._bt_from.view()]
-        actual = _v_between(x_from, X[self._bt_to.view()], np.cos(x_from[:, 2]), np.sin(x_from[:, 2]))
+        g = self._graph
+        bt_from, bt_to = g.bt_keys
+        x_from = X[bt_from]
+        actual = _v_between(x_from, X[bt_to], np.cos(x_from[:, 2]), np.sin(x_from[:, 2]))
         # the unary factors' measured poses, then the between factors' relative ones
-        z = _v_between(vals, np.concatenate([X[self._un_keys.view()], actual]), vals[:, 3], vals[:, 4])
+        z = _v_between(vals, np.concatenate([X[g.un_keys], actual]), vals[:, 3], vals[:, 4])
         r, a = _v_log(z)
         return 0.5 * float(np.vdot(r * r, info)), (z, r, a, info, actual)
 
@@ -559,10 +510,10 @@ class Smoother:
     def _line_search(self, X: np.ndarray, err: float, delta: np.ndarray):
         """(trial, error, terms) at the first of X exp(delta), X exp(delta / 2), ... whose error is at most err.
 
-        None when max_step_halvings halvings find none.
+        None when _MAX_STEP_HALVINGS halvings find none.
         """
         alpha = 1.0
-        for _ in range(self.settings.max_step_halvings + 1):
+        for _ in range(_MAX_STEP_HALVINGS + 1):
             trial = _retract(X, alpha * delta.reshape(-1, 3))
             trial_err, trial_terms = self._evaluate(trial)
             if trial_err <= err:
@@ -575,25 +526,26 @@ class Smoother:
     def update(self) -> SolveReport:
         """Solve the whole graph from the current estimate; on any error, change nothing."""
         t0 = time.perf_counter()
-        if len(self._x) == 0:
+        graph = self._graph
+        if len(graph.x) == 0:
             raise GaugeError("cannot update an empty graph")
-        if len(self._un_keys) == 0:
+        if len(graph.un_keys) == 0:
             raise GaugeError("graph has no prior or measurement factor to fix the gauge")
-        cfg = self.settings
         pattern = self._pattern()
-        X = self._x.view().copy()
-        self._activate_pending(X)
+        X = graph.x.copy()
+        if graph.pending:
+            self._activate_pending(X)
         err, terms = self._evaluate(X)
         if not math.isfinite(err):
             raise GaugeError(f"factor error at the start point is not finite: {err}")
         history = [err]
         factorizations = 0
         solve = None
-        converged = err <= cfg.absolute_tolerance
+        converged = err <= _ABSOLUTE_TOLERANCE
         if not converged:
             sparse = pattern["mode"] == "sparse"
             # every pass accepts one step, or ends the loop
-            for _ in range(cfg.max_iterations):
+            for _ in range(_MAX_ITERATIONS):
                 jac = _jacobians(terms)
                 g = self._gradient(terms, jac, pattern)
                 step = None
@@ -616,7 +568,7 @@ class Smoother:
                     pred = -0.5 * float(g @ delta)
                     step = self._line_search(X, err, delta)
                     if step is None:
-                        # err is above absolute_tolerance here, or the loop would have ended
+                        # err is above _ABSOLUTE_TOLERANCE here, or the loop would have ended
                         converged = bool(np.max(np.abs(delta)) < 1e-10)
                         break
                 X, trial_err, terms = step
@@ -626,8 +578,8 @@ class Smoother:
                 err = trial_err
                 history.append(err)
                 # chord steps converge linearly, so one small decrease shows less
-                tolerance = cfg.relative_tolerance * (_CHORD_STOP if chord else 1.0)
-                if err <= cfg.absolute_tolerance or decrease <= tolerance * max(prev, 1e-300):
+                tolerance = _RELATIVE_TOLERANCE * (_CHORD_STOP if chord else 1.0)
+                if err <= _ABSOLUTE_TOLERANCE or decrease <= tolerance * max(prev, 1e-300):
                     converged = True
                     break
         if solve is None:
@@ -636,14 +588,10 @@ class Smoother:
             solve = self._factorize(self._linearize(terms, _jacobians(terms), pattern), pattern)
             factorizations += 1
         iterations = len(history) - 1
-        self._x.view()[:] = X
-        self._pending.clear()
-        self._n_solved = len(X)
-        self._version += 1
+        self._graph = graph = graph._replace(x=X, pending=(), n_solved=len(X))
         # for marginals: the solve if no step moved the estimate since it
         # was factorized, else the estimate's residual terms
-        at_estimate = (None, solve) if iterations == 0 else (terms, None)
-        self._marginal_cache = (self._version,) + at_estimate
+        self._marginal_cache = (graph, None, solve) if iterations == 0 else (graph, terms, None)
         return SolveReport(
             iterations=iterations,
             initial_error=history[0],
@@ -658,31 +606,31 @@ class Smoother:
 
     @np.errstate(all="ignore")
     def _marginal_solve(self):
-        """The solve of H at the estimate, cached per version.
+        """The solve of H at the estimate, cached per _Graph.
 
         After update() the cache holds the estimate's residual terms, which
         the first marginal read factorizes in place of evaluating them again,
-        or, when no step moved the estimate, update()'s solve itself. Any
-        change to the graph or the estimate bumps the version and drops both.
+        or, when no step moved the estimate, update()'s solve itself. A cache
+        of any other _Graph than the current one goes unused.
         """
-        cache = self._marginal_cache
-        if cache is None or cache[0] != self._version:
-            cache = (self._version, None, None)
-        if cache[2] is None:
+        g = self._graph
+        graph, terms, solve = self._marginal_cache
+        if graph is not g or solve is None:
+            if graph is not g:
+                terms = self._evaluate(g.x)[1]
             pattern = self._pattern()
-            terms = cache[1] if cache[1] is not None else self._evaluate(self._x.view())[1]
-            system = self._linearize(terms, _jacobians(terms), pattern)
-            cache = (self._version, None, self._factorize(system, pattern))
-            self._marginal_cache = cache
-        return cache[2]
+            solve = self._factorize(self._linearize(terms, _jacobians(terms), pattern), pattern)
+            self._marginal_cache = (g, None, solve)
+        return solve
 
     def marginal_sigma(self, key: int) -> tuple[float, float, float]:
         """Sigmas of the tangent-space marginal at the current estimate."""
-        if self._n_solved == 0:
+        g = self._graph
+        if g.n_solved == 0:
             raise RuntimeError("marginals requested before the first update")
-        if not _is_key(key, self._n_solved):
+        if not _is_key(key, g.n_solved):
             raise KeyError(f"variable {key} has no estimate yet")
-        if len(self._x) != self._n_solved:
+        if len(g.x) != g.n_solved:
             raise RuntimeError("marginals requested with pending variables; call update() first")
         solve = self._marginal_solve()
         rhs = np.zeros((3 * self.num_variables, 3))

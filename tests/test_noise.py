@@ -20,7 +20,6 @@ def test_validation():
             DiagonalNoise(1.0, bad, 1.0)
         with pytest.raises(ValueError):
             DiagonalNoise(1.0, 1.0, bad)
-    assert DiagonalNoise.from_sigmas((1.0, 2.0, 3.0)).sigmas() == (1.0, 2.0, 3.0)
 
 
 def test_whiten_examples():

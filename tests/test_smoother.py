@@ -20,11 +20,9 @@ from se2fusion import (
     Pose2,
     PriorFactor,
     Smoother,
-    SmootherSettings,
     Twist2,
-    ValidationError,
 )
-from se2fusion.smoother import _jacobians
+from se2fusion.smoother import _ABSOLUTE_TOLERANCE, _MAX_ITERATIONS, _RELATIVE_TOLERANCE, _jacobians
 from support import make_rng, pose_diff, random_pose
 
 UNIT = DiagonalNoise(1.0, 1.0, 1.0)
@@ -119,8 +117,9 @@ def test_exact_chain_dead_reckons():
         want = want.compose(rel)
 
 
-def test_add_variable_initialization_follows_odometry():
-    s = Smoother(SmootherSettings(max_iterations=0))
+def test_add_variable_initialization_follows_odometry(monkeypatch):
+    monkeypatch.setattr("se2fusion.smoother._MAX_ITERATIONS", 0)
+    s = Smoother()
     k0 = s.add_variable(Pose2(5.0, 0.0, 0.0))
     s.add_factor(MeasurementFactor(k0, Pose2(5, 0, 0), UNIT))
     k1 = s.add_variable()
@@ -148,27 +147,9 @@ def test_factor_on_unknown_key_raises():
             s.add_factor(MeasurementFactor(key, Pose2(0, 0, 0), UNIT))
         with pytest.raises(KeyError):
             s.add_factor(BetweenFactor(0, key, Pose2(1, 0, 0), UNIT))
-    assert len(s._un_keys) == len(s._bt_from) == 0
+    assert len(s._graph.un_keys) == s._graph.bt_keys.shape[1] == 0
     s.add_factor(MeasurementFactor(np.int64(1), Pose2(0, 0, 0), UNIT))
-    assert s._un_keys.view().tolist() == [1]
-
-
-@pytest.mark.parametrize(
-    "name, value",
-    [
-        ("max_iterations", -1),
-        ("max_iterations", 2.5),
-        ("max_iterations", True),
-        ("max_step_halvings", -1),
-        ("relative_tolerance", math.nan),
-        ("relative_tolerance", -1e-9),
-        ("absolute_tolerance", math.inf),
-        ("absolute_tolerance", "0"),
-    ],
-)
-def test_settings_reject_invalid_values(name, value):
-    with pytest.raises(ValidationError):
-        SmootherSettings(**{name: value})
+    assert s._graph.un_keys.tolist() == [1]
 
 
 def test_between_only_graph_raises_gauge_error():
@@ -256,8 +237,9 @@ def test_marginal_reuses_the_factorization_of_an_update_without_a_step():
         assert np.allclose(s.marginal_sigma(k), want, atol=1e-9, rtol=1e-9)
 
 
-def test_non_convergence_reported_not_raised():
-    s = Smoother(SmootherSettings(max_iterations=1))
+def test_non_convergence_reported_not_raised(monkeypatch):
+    monkeypatch.setattr("se2fusion.smoother._MAX_ITERATIONS", 1)
+    s = Smoother()
     k = s.add_variable(Pose2(4.0, -3.0, 2.0))
     s.add_factor(MeasurementFactor(k, Pose2(0, 0, 0), UNIT))
     s.add_factor(MeasurementFactor(k, Pose2(1, 1, 1.0), UNIT))
@@ -278,7 +260,7 @@ def test_report_invariants_and_monotone_history():
             s.add_factor(BetweenFactor(k - 1, k, Pose2(1.0, 0.0, 0.05), DiagonalNoise(0.05, 0.05, 0.02)))
         report = s.update()
         assert report.final_error <= report.initial_error + 1e-12
-        assert report.iterations <= s.settings.max_iterations
+        assert report.iterations <= _MAX_ITERATIONS
         assert report.duration_ms >= 0.0
         assert report.error_history[0] == report.initial_error
         assert report.error_history[-1] == report.final_error
@@ -394,7 +376,7 @@ def smoother_normal_equations(s):
     column i. Sparse mode returns the full matrix.
     """
     pattern = s._pattern()
-    _, terms = s._evaluate(s._x.view())
+    _, terms = s._evaluate(s._graph.x)
     system, g = linearize(s, terms, pattern)
     if pattern["mode"] == "sparse":
         return pattern["mode"], system.toarray(), np.asarray(g)
@@ -467,7 +449,7 @@ def test_linearize_matches_factor_jacobians():
             # the stored entries. splu sorts a matrix out of canonical order
             # in place, and the matrix shares its indices with the cached
             # pattern, so every later assembly would scatter to stale places
-            system, _ = linearize(s, s._evaluate(s._x.view())[1], s._pattern())
+            system, _ = linearize(s, s._evaluate(s._graph.x)[1], s._pattern())
             ref = _csc_reference(3 * n, factors)
             assert np.array_equal(system.indptr, ref.indptr)
             assert np.array_equal(system.indices, ref.indices)
@@ -657,12 +639,12 @@ def test_overflowing_fix_raises_gauge_error_without_warnings(build):
 def _scratch_normal_equations(s, factors):
     """Normal equations of s, which holds factors, at its values, through a pattern built in one go."""
     fresh = Smoother()
-    for row in s._x.view():
+    for row in s._graph.x:
         fresh.add_variable(Pose2(*row))
     for f in factors:
         fresh.add_factor(f)
     pattern = fresh._pattern()
-    return pattern, linearize(fresh, fresh._evaluate(fresh._x.view())[1], pattern)
+    return pattern, linearize(fresh, fresh._evaluate(fresh._graph.x)[1], pattern)
 
 
 def test_incremental_pattern_matches_one_built_from_scratch():
@@ -703,7 +685,7 @@ def test_incremental_pattern_matches_one_built_from_scratch():
         stage()
         pattern = s._pattern()
         assert pattern["mode"] == mode
-        system, g = linearize(s, s._evaluate(s._x.view())[1], pattern)
+        system, g = linearize(s, s._evaluate(s._graph.x)[1], pattern)
         want_pattern, (want_system, want_g) = _scratch_normal_equations(s, factors)
         assert np.array_equal(g, want_g)
         if mode == "banded":
@@ -763,8 +745,8 @@ def test_truncate_returns_to_the_checkpoint():
     assert s._pattern()["mode"] == "sparse"
     s.marginal_sigma(k)
     s.truncate(mark)
-    for store in ("_un_keys", "_un_vals", "_un_info", "_bt_from", "_bt_to", "_bt_rel", "_bt_info"):
-        assert getattr(s, store).view().tobytes() == getattr(fresh, store).view().tobytes()
+    for name in ("un_keys", "un", "bt_keys", "bt"):
+        assert getattr(s._graph, name).tobytes() == getattr(fresh._graph, name).tobytes()
     assert s.estimate() == estimate
     assert s.marginal_sigma(a) == sigma
     for sm in (s, fresh):
@@ -776,19 +758,56 @@ def test_truncate_returns_to_the_checkpoint():
     assert s.estimate() == fresh.estimate()
 
 
+def test_truncate_returns_to_any_mark():
+    # m2 is taken after m1, and restored after a branch grown from m1
+    def start():
+        s = Smoother()
+        s.add_variable(Pose2(0, 0, 0))
+        s.add_factor(PriorFactor(0, Pose2(0, 0, 0), UNIT))
+        s.update()
+        return s
+
+    def grow(s, relative):
+        s.add_variable()
+        s.add_factor(BetweenFactor(0, 1, relative, DiagonalNoise(0.01, 0.01, 0.01)))
+        s.add_factor(MeasurementFactor(1, Pose2(1, 0, 0), UNIT))
+        s.update()
+
+    s, fresh, branch = start(), start(), start()
+    m1 = s.checkpoint()
+    for sm in (s, fresh):
+        grow(sm, Pose2(1, 0, 0))
+    m2 = s.checkpoint()
+    # a fix and a solve that add no variable
+    s.add_factor(MeasurementFactor(1, Pose2(3, 0, 0), UNIT))
+    s.update()
+    s.truncate(m1)
+    # as many variables and factors as m2, and another odometry edge
+    for sm in (s, branch):
+        grow(sm, Pose2(5, 5, 0))
+    assert s.estimate() == branch.estimate()
+    assert s.marginal_sigma(1) == branch.marginal_sigma(1)
+    s.truncate(m2)
+    assert s.estimate() == fresh.estimate()
+    assert s.marginal_sigma(1) == fresh.marginal_sigma(1)
+    assert s.update().error_history == fresh.update().error_history
+    assert s.estimate() == fresh.estimate()
+    s.truncate(m1)
+    assert s.estimate() == start().estimate()
+
+
 def _gauss_newton_history(s):
     """error_history of plain Gauss-Newton from s's start point, one factorization per step.
 
     It runs s's own evaluation, assembly, factorization and line search,
     and changes nothing in s.
     """
-    cfg = s.settings
     pattern = s._pattern()
-    x = s._x.view().copy()
+    x = s._graph.x.copy()
     s._activate_pending(x)
     err, terms = s._evaluate(x)
     history = [err]
-    for _ in range(cfg.max_iterations if err > cfg.absolute_tolerance else 0):
+    for _ in range(_MAX_ITERATIONS if err > _ABSOLUTE_TOLERANCE else 0):
         jac = _jacobians(terms)
         solve = s._factorize(s._linearize(terms, jac, pattern), pattern)
         step = s._line_search(x, err, solve(-s._gradient(terms, jac, pattern)))
@@ -797,7 +816,7 @@ def _gauss_newton_history(s):
         prev = err
         x, err, terms = step
         history.append(err)
-        if err <= cfg.absolute_tolerance or prev - err <= cfg.relative_tolerance * max(prev, 1e-300):
+        if err <= _ABSOLUTE_TOLERANCE or prev - err <= _RELATIVE_TOLERANCE * max(prev, 1e-300):
             break
     return history
 
@@ -858,9 +877,9 @@ def _cold_start_loop_graph(seed, n=40):
     return factors, init
 
 
-def _traced_batch_solve(settings, factors, init):
+def _traced_batch_solve(factors, init):
     """A smoother that solved factors from init in one update, its report, and its line searches and factorizations in order."""
-    s = Smoother(settings)
+    s = Smoother()
     for k in range(len(init)):
         s.add_variable(init[k])
     for f in factors:
@@ -886,7 +905,7 @@ def _traced_batch_solve(settings, factors, init):
 @pytest.mark.parametrize("seed", [120, 121, 122])
 def test_cold_start_with_chord_stalls_matches_oracle(seed):
     factors, init = _cold_start_loop_graph(seed)
-    s, report, events = _traced_batch_solve(SmootherSettings(), factors, init)
+    s, report, events = _traced_batch_solve(factors, init)
     # chord steps were taken, and stalled into fresh factorizations
     assert report.converged
     assert 2 <= report.factorizations < report.iterations
@@ -895,10 +914,11 @@ def test_cold_start_with_chord_stalls_matches_oracle(seed):
     assert max(pose_diff(s.pose_estimate(k), oracle[k]) for k in range(len(init))) < 1e-6
 
 
-def test_chord_step_without_descent_falls_back_to_a_full_step():
+def test_chord_step_without_descent_falls_back_to_a_full_step(monkeypatch):
     # without halvings, an overshooting chord step fails its line search
+    monkeypatch.setattr("se2fusion.smoother._MAX_STEP_HALVINGS", 0)
     factors, init = _cold_start_loop_graph(120)
-    s, report, events = _traced_batch_solve(SmootherSettings(max_step_halvings=0), factors, init)
+    s, report, events = _traced_batch_solve(factors, init)
     # a failed Gauss-Newton line search ends the solve, so a failed one
     # followed by a factorization was a chord step's
     fallbacks = [i for i in range(len(events) - 2) if events[i : i + 3] == ["no step", "factorize", "step"]]

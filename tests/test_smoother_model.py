@@ -2,9 +2,12 @@
 
 Hypothesis runs add_variable, add_factor, update, checkpoint/truncate and
 marginal_sigma in any order. The machine keeps the variables and factors the
-smoother holds, and checks three things:
-- a call that raises leaves the stores, the estimate, the pending keys and
+smoother holds, and checks four things:
+- a call that raises leaves the graph, the estimate, the pending keys and
   the marginal cache as they were, byte for byte;
+- every mark held keeps the state of its checkpoint, byte for byte, and
+  truncate() to any of them, older or newer than the state it replaces,
+  gives that state back;
 - update() fails just when a fresh smoother's batch solve of the same graph
   fails, and after a successful one the estimate matches that solve to
   1e-6, as criterion 3 asks;
@@ -44,7 +47,6 @@ from test_smoother import dense_normal_equations  # noqa: E402
 
 FIX = DiagonalNoise(0.05, 0.05, 0.05)
 ODOMETRY = DiagonalNoise(0.005, 0.005, 0.005)
-STORES = ("_un_keys", "_un_vals", "_un_info", "_bt_from", "_bt_to", "_bt_rel", "_bt_info")
 
 # offsets of a factor's value from the path, in sigmas
 OFFSETS = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
@@ -59,10 +61,9 @@ def off(pose: Pose2, offset, noise: DiagonalNoise) -> Pose2:
     return Pose2(*(a + o * s for a, o, s in zip(pose.as_tuple(), offset, noise.sigmas())))
 
 
-def state(s: Smoother) -> tuple:
-    """The graph and the estimate, byte for byte."""
-    stores = tuple(getattr(s, name).view().tobytes() for name in STORES)
-    return stores + (s._x.view().tobytes(), tuple(s._pending), s._n_solved, dict(s._first_between_to))
+def state(g) -> tuple:
+    """The graph and the estimate of a smoother's _Graph, byte for byte, so that a write into one of its arrays shows."""
+    return tuple(a.tobytes() for a in (g.x, g.un_keys, g.un, g.bt_keys, g.bt)) + (g.pending, g.n_solved)
 
 
 class SmootherModel(RuleBasedStateMachine):
@@ -72,7 +73,7 @@ class SmootherModel(RuleBasedStateMachine):
         # the guess of each variable (None: pending) and the factors added
         self.guesses: list = []
         self.factors: list = []
-        # per checkpoint: its mark, the model's sizes then and the smoother's state then
+        # per checkpoint: its mark, the model's lists then and the smoother's state then
         self.marks: list = []
         # counts the calls that changed the graph or the estimate, and its value at the last marginal check
         self.changes = 0
@@ -80,12 +81,12 @@ class SmootherModel(RuleBasedStateMachine):
 
     def rejected(self, call, *errors) -> bool:
         """Whether call raised one of errors; if it did, it changed nothing."""
-        before, version, cache = state(self.s), self.s._version, self.s._marginal_cache
+        before, graph, cache = state(self.s._graph), self.s._graph, self.s._marginal_cache
         try:
             call()
         except errors:
-            assert state(self.s) == before
-            assert self.s._version == version and self.s._marginal_cache is cache
+            assert state(self.s._graph) == before
+            assert self.s._graph is graph and self.s._marginal_cache is cache
             return True
         return False
 
@@ -155,21 +156,19 @@ class SmootherModel(RuleBasedStateMachine):
     def add_frames(self, frames):
         """Poses with odometry and a fix, each dropped again if update() rejects it, as the stream driver adds frames.
 
-        The frame after a rejected one has the same store sizes, which a
-        stale pattern cache would fit.
+        The frame after a rejected one has as many variables and factors,
+        and the same keys, which a pattern cache keyed on sizes would fit.
         """
         for offset, overflow in frames:
-            self.checkpoint()
+            mark = self.mark()
             k = len(self.guesses)
             self.add_variable(False, offset)
             if k:
                 self.add(BetweenFactor(k - 1, k, off(path(k - 1).between(path(k)), offset, ODOMETRY), ODOMETRY))
             fix = Pose2(1e300, 0.0, 0.0) if overflow == 0 else off(path(k), offset, FIX)
             self.add(MeasurementFactor(k, fix, FIX))
-            if self.solve():
-                self.marks.pop()
-            else:
-                self.drop_to_mark()
+            if not self.solve():
+                self.restore(mark)
 
     @rule()
     def update(self):
@@ -199,19 +198,29 @@ class SmootherModel(RuleBasedStateMachine):
 
     @rule()
     def checkpoint(self):
-        self.marks.append((self.s.checkpoint(), len(self.guesses), len(self.factors), state(self.s)))
+        self.marks.append(self.mark())
 
-    @rule()
-    def truncate(self):
-        if self.marks:
-            self.drop_to_mark()
+    @precondition(lambda self: self.marks)
+    @rule(data=st.data())
+    def truncate(self, data):
+        """Return to any mark held, which stays held."""
+        self.restore(data.draw(st.sampled_from(self.marks)))
 
-    def drop_to_mark(self):
-        mark, n_vars, n_factors, then = self.marks.pop()
+    def mark(self) -> tuple:
+        mark = self.s.checkpoint()
+        return mark, list(self.guesses), list(self.factors), state(mark)
+
+    def restore(self, entry) -> None:
+        mark, guesses, factors, then = entry
         self.s.truncate(mark)
-        del self.guesses[n_vars:], self.factors[n_factors:]
+        self.guesses, self.factors = list(guesses), list(factors)
         self.changes += 1
-        assert state(self.s) == then
+        assert state(self.s._graph) == then
+
+    @invariant()
+    def marks_hold_their_state(self):
+        for mark, _, _, then in self.marks:
+            assert state(mark) == then
 
     @rule(data=st.data())
     def marginal_sigma(self, data):
