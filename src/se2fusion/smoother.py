@@ -18,15 +18,29 @@ ch. 5). It takes the chord step while its predicted decrease -g^T delta / 2
 is at most _CHORD_RATE (0.1) times that of the step before, and factorizes H
 afresh when the prediction stalls or the chord step's line search fails.
 Chord steps converge linearly, so one ends the solve only when its decrease
-is at most _CHORD_STOP (1e-2) times the Gauss-Newton bound. Banded mode
-keeps plain Gauss-Newton: its factor is cheap (about 60 us at 900 unknowns,
-against about 1 ms for SuperLU), and on the near-rigid chains it serves,
-chord steps converge so slowly that 600-frame sessions took 4.9 steps per
-update in place of 3.1, and 1.29x the time.
+is at most _CHORD_STOP (1e-2) times the Gauss-Newton bound.
+
+Banded mode takes a chord step only to confirm convergence. After an
+accepted step it back-solves g at the new point with the factor it has,
+unless that factor is the start point's. When the predicted decrease is at
+most _RELATIVE_TOLERANCE times the error and the step finds no higher
+error, that step ends the solve. Otherwise, as with a prediction that is
+not finite, it factorizes H at that point. The start point's factor is
+left out because H there, before the new pose and fix have moved the
+chain, is the furthest from H at the optimum: over 19200 default frames,
+confirm steps with it left Newton steps of up to 3.4e-4 at the estimate,
+where plain Gauss-Newton left at most 1.0e-4. On default 600-frame chains
+the confirm step saved one factorization of the 3.1 per update, with the
+iterations unchanged. Banded mode takes no further chord steps: its factor
+is cheap (about 60 us at 900 unknowns, against about 1 ms for SuperLU),
+and on the near-rigid chains it serves, chord steps converge so slowly
+that 600-frame sessions took 4.9 steps per update in place of 3.1, and
+1.29x the time.
 
 The index pattern that scatters those entries into H and g is a function
 of the factor keys, built in one pass whenever a variable or factor is
-added. H is block-sparse, one dense 3x3 block per pair of keys that share a
+added. Banded mode places every entry in closed form from its factor's
+keys. H is block-sparse, one dense 3x3 block per pair of keys that share a
 factor, so sparse mode sorts one key per block, not one per entry, and
 places every entry in closed form from its block's slot.
 
@@ -67,7 +81,8 @@ _BAND_LIMIT = 48
 
 # update() takes at most _MAX_ITERATIONS steps, each halved at most
 # _MAX_STEP_HALVINGS times to find a decrease, and stops at an error of at
-# most _ABSOLUTE_TOLERANCE or a step that cuts it by _RELATIVE_TOLERANCE or less.
+# most _ABSOLUTE_TOLERANCE or a step that cuts it by _RELATIVE_TOLERANCE or
+# less, or in banded mode after a chord step predicted to do so.
 _MAX_ITERATIONS = 100
 _RELATIVE_TOLERANCE = 1e-9
 _ABSOLUTE_TOLERANCE = 1e-12
@@ -107,15 +122,12 @@ def _mirrored(entries: np.ndarray, which: list[int]) -> np.ndarray:
 
 
 # The entries of the to side (unary factors, then the between factors' to
-# keys) and of the from side, per solver mode.
-_ENTRIES = {
-    "banded": (_TO_ENTRIES, _FROM_ENTRIES),
-    "sparse": (_mirrored(_TO_ENTRIES, _TO_MIRROR), _mirrored(_FROM_ENTRIES, _FROM_MIRROR)),
-}
+# keys) and of the from side in sparse mode.
+_SPARSE_ENTRIES = (_mirrored(_TO_ENTRIES, _TO_MIRROR), _mirrored(_FROM_ENTRIES, _FROM_MIRROR))
 # The blocks each side fills in sparse mode, each as the code 2 r + c of the
 # keys its rows and columns lie at (numbered as in the entries above), and
 # the block of each entry, as an index into those codes.
-_BLOCKS = [np.unique(2 * e[0] + e[2], return_inverse=True) for e in _ENTRIES["sparse"]]
+_BLOCKS = [np.unique(2 * e[0] + e[2], return_inverse=True) for e in _SPARSE_ENTRIES]
 
 
 class GaugeError(RuntimeError):
@@ -133,6 +145,9 @@ class SolveReport:
     duration_ms: float
     error_history: tuple[float, ...] = ()
     factorizations: int = 0
+    # abs_tol, rel_decrease (after a Gauss-Newton step or a sparse chord
+    # step), chord_confirm, no_descent or max_iterations
+    stop_reason: str = ""
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:
@@ -388,14 +403,21 @@ class Smoother:
         max_span = int(np.abs(bt_to - bt_from).max(initial=0))
         u = min(3 * max_span + 2, max(dim - 1, 0))
         mode = "banded" if u <= _BAND_LIMIT else "sparse"
-        # one row per factor: the key measured or the to key; the from and the to key
-        keys = [np.concatenate([g.un_keys, bt_to])[:, None], np.column_stack([bt_from, bt_to])]
+        # the key measured or the to key of each factor, then the from keys
+        side_keys = (np.concatenate([g.un_keys, bt_to]), bt_from)
         p = {"mode": mode, "u": u, "dim": dim, "un_keys": g.un_keys, "bt_keys": g.bt_keys}
         if mode == "banded":
-            cells = [(3 * k[:, e[0]] + e[1], 3 * k[:, e[2]] + e[3]) for e, k in zip(_ENTRIES[mode], keys)]
-            places = [np.minimum(r, c) * u + np.maximum(r, c) for r, c in cells]
+            # entry (i, j) of key k's diagonal block lies at 3 (u + 1) k + i u + j;
+            # entry (i, j) of H_from,to at 3 (lo u + hi) + i u + j, with i and j
+            # swapped when the between factor runs backward
+            lo, hi = np.minimum(bt_from, bt_to), np.maximum(bt_from, bt_to)
+            cross = 3 * (lo * u + hi) + np.where(bt_from < bt_to, (_CI * u + _CJ)[:, None], (_CJ * u + _CI)[:, None])
+            diag = [3 * (u + 1) * k + (_UI * u + _UJ)[:, None] for k in side_keys]
+            p["h_idx"] = np.concatenate([h.ravel() for h in diag + [cross]])
             p["h_size"] = dim * (u + 1)
         else:
+            # one row per factor: the key measured or the to key; the from and the to key
+            keys = [side_keys[0][:, None], np.column_stack([bt_from, bt_to])]
             blocks = [(k[:, c % 2] << 32) | k[:, c // 2] for (c, _), k in zip(_BLOCKS, keys)]
             csc, slot = np.unique(np.concatenate([b.ravel() for b in blocks]), return_inverse=True)
             col = csc >> 32
@@ -403,7 +425,7 @@ class Smoother:
             before = np.cumsum(per_col) - per_col
             # the place of entry (i, j) of the block at slot s, at 9 s + 3 i + j
             at = ((6 * before[col] + 3 * np.arange(len(csc)))[:, None] + 3 * per_col[col, None] * _CJ + _CI).ravel()
-            splits = zip(_BLOCKS, _ENTRIES[mode], blocks, np.split(slot, [blocks[0].size]))
+            splits = zip(_BLOCKS, _SPARSE_ENTRIES, blocks, np.split(slot, [blocks[0].size]))
             places = [at[9 * s.reshape(b.shape)[:, which] + (3 * e[1] + e[3])] for (_, which), e, b, s in splits]
             indices = np.empty(9 * len(csc), np.int32)
             indices[at] = (3 * (csc[:, None] & 0xFFFFFFFF) + _CI).ravel()
@@ -412,10 +434,10 @@ class Smoother:
                 indices=indices,
                 indptr=np.append(9 * before[:, None] + 3 * per_col[:, None] * _G3, 9 * len(csc)).astype(np.int32),
                 h_size=9 * len(csc),
+                h_idx=np.concatenate([h.T.ravel() for h in places]),
             )
-        p["h_idx"] = np.concatenate([h.T.ravel() for h in places])
         # g: the rows of the block of the key measured or the to key, then of the from key
-        p["g_rows"] = np.concatenate([(3 * k[:, :1] + _G3).T.ravel() for k in keys])
+        p["g_rows"] = np.concatenate([(3 * k + _G3[:, None]).ravel() for k in side_keys])
         # every factor's constant pose with its cosine and sine, and its info,
         # in the order of the terms _evaluate gives
         p["consts"] = (np.concatenate([g.un[:, :5], g.bt[:, :5]]), np.concatenate([g.un[:, 5:], g.bt[:, 5:]]))
@@ -542,6 +564,8 @@ class Smoother:
         factorizations = 0
         solve = None
         converged = err <= _ABSOLUTE_TOLERANCE
+        # each rule that ends the loop early sets its own
+        stop_reason = "abs_tol" if converged else "max_iterations"
         if not converged:
             sparse = pattern["mode"] == "sparse"
             # every pass accepts one step, or ends the loop
@@ -549,12 +573,16 @@ class Smoother:
                 jac = _jacobians(terms)
                 g = self._gradient(terms, jac, pattern)
                 step = None
-                if sparse and solve is not None:
-                    # a chord step, with the factor of an earlier point, while
-                    # its predicted decrease falls geometrically; NaN fails the test
+                # a chord step, with the factor of an earlier point: in sparse
+                # mode while its predicted decrease falls geometrically, in
+                # banded mode only to confirm convergence and never with the
+                # first factor, the start point's; a non-finite prediction
+                # fails both tests
+                if solve is not None and (sparse or factorizations > 1):
                     delta = solve(-g)
                     pred = -0.5 * float(g @ delta)
-                    chord = pred <= _CHORD_RATE * last_pred
+                    bound = _CHORD_RATE * last_pred if sparse else _RELATIVE_TOLERANCE * err
+                    chord = math.isfinite(pred) and pred <= bound
                     if chord:
                         step = self._line_search(X, err, delta)
                 if step is None:
@@ -570,6 +598,7 @@ class Smoother:
                     if step is None:
                         # err is above _ABSOLUTE_TOLERANCE here, or the loop would have ended
                         converged = bool(np.max(np.abs(delta)) < 1e-10)
+                        stop_reason = "no_descent"
                         break
                 X, trial_err, terms = step
                 last_pred = pred
@@ -577,10 +606,14 @@ class Smoother:
                 prev = err
                 err = trial_err
                 history.append(err)
+                if chord and not sparse:
+                    converged, stop_reason = True, "chord_confirm"
+                    break
                 # chord steps converge linearly, so one small decrease shows less
                 tolerance = _RELATIVE_TOLERANCE * (_CHORD_STOP if chord else 1.0)
                 if err <= _ABSOLUTE_TOLERANCE or decrease <= tolerance * max(prev, 1e-300):
                     converged = True
+                    stop_reason = "abs_tol" if err <= _ABSOLUTE_TOLERANCE else "rel_decrease"
                     break
         if solve is None:
             # only a factorization shows that the normal equations are
@@ -600,6 +633,7 @@ class Smoother:
             duration_ms=(time.perf_counter() - t0) * 1e3,
             error_history=tuple(history),
             factorizations=factorizations,
+            stop_reason=stop_reason,
         )
 
     # ---- marginals ----------------------------------------------------------

@@ -22,7 +22,15 @@ from se2fusion import (
     Smoother,
     Twist2,
 )
-from se2fusion.smoother import _ABSOLUTE_TOLERANCE, _MAX_ITERATIONS, _RELATIVE_TOLERANCE, _jacobians
+from se2fusion.noise import MEASUREMENT_DEFAULT, ODOMETRY_DEFAULT, PRIOR_DEFAULT
+from se2fusion.smoother import (
+    _ABSOLUTE_TOLERANCE,
+    _FROM_ENTRIES,
+    _MAX_ITERATIONS,
+    _RELATIVE_TOLERANCE,
+    _TO_ENTRIES,
+    _jacobians,
+)
 from support import make_rng, pose_diff, random_pose
 
 UNIT = DiagonalNoise(1.0, 1.0, 1.0)
@@ -696,6 +704,46 @@ def test_incremental_pattern_matches_one_built_from_scratch():
             assert np.array_equal(getattr(system, name), getattr(want_system, name))
 
 
+def _banded_pattern_reference(s):
+    """h_idx and g_rows of s's banded pattern, placed entry by entry: H entry (r, c) at min(r, c) u + max(r, c)."""
+    g = s._graph
+    bt_from, bt_to = g.bt_keys
+    u = s._pattern()["u"]
+    keys = [np.concatenate([g.un_keys, bt_to])[:, None], np.column_stack([bt_from, bt_to])]
+    cells = [(3 * k[:, e[0]] + e[1], 3 * k[:, e[2]] + e[3]) for e, k in zip((_TO_ENTRIES, _FROM_ENTRIES), keys)]
+    places = [np.minimum(r, c) * u + np.maximum(r, c) for r, c in cells]
+    h_idx = np.concatenate([h.T.ravel() for h in places])
+    g_rows = np.concatenate([(3 * k[:, :1] + np.arange(3)).T.ravel() for k in keys])
+    return h_idx, g_rows
+
+
+@pytest.mark.parametrize("seed", range(131, 136))
+def test_banded_pattern_matches_entry_by_entry_placement(seed):
+    rng = make_rng(seed)
+    n = int(rng.integers(2, 30))
+    s = Smoother()
+    for k in range(n):
+        s.add_variable(random_pose(rng))
+    # two unary factors on key 0, a backward between factor, and between
+    # factors of spans up to 15, the widest that stays banded
+    factors = [PriorFactor(0, random_pose(rng), UNIT), MeasurementFactor(0, random_pose(rng), UNIT)]
+    factors += [BetweenFactor(1, 0, random_pose(rng), UNIT)]
+    for _ in range(2 * n):
+        a, b = rng.choice(n, 2, replace=False)
+        if abs(a - b) <= 15:
+            factors.append(BetweenFactor(int(a), int(b), random_pose(rng), UNIT))
+        if rng.random() < 0.5:
+            factors.append(MeasurementFactor(int(a), random_pose(rng), UNIT))
+    for i in rng.permutation(len(factors)):
+        s.add_factor(factors[i])
+    pattern = s._pattern()
+    assert pattern["mode"] == "banded"
+    h_idx, g_rows = _banded_pattern_reference(s)
+    for got, want in ((pattern["h_idx"], h_idx), (pattern["g_rows"], g_rows)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def _chain(n):
     """n poses with fixes and odometry, solved in banded mode."""
     s = Smoother()
@@ -797,32 +845,49 @@ def test_truncate_returns_to_any_mark():
 
 
 def _gauss_newton_history(s):
-    """error_history of plain Gauss-Newton from s's start point, one factorization per step.
+    """error_history and stop reason of Gauss-Newton from s's start point, one factorization per step.
 
-    It runs s's own evaluation, assembly, factorization and line search,
-    and changes nothing in s.
+    From the second step on, the factor of the step before, back-solved at
+    the new point, may confirm convergence: when its predicted decrease is at
+    most _RELATIVE_TOLERANCE times the error and that chord step finds no
+    higher error, the solve ends with it. It runs s's own evaluation,
+    assembly, factorization and line search, and changes nothing in s.
     """
     pattern = s._pattern()
     x = s._graph.x.copy()
     s._activate_pending(x)
     err, terms = s._evaluate(x)
     history = [err]
-    for _ in range(_MAX_ITERATIONS if err > _ABSOLUTE_TOLERANCE else 0):
+    if err <= _ABSOLUTE_TOLERANCE:
+        return history, "abs_tol"
+    solve = None
+    for _ in range(_MAX_ITERATIONS):
         jac = _jacobians(terms)
+        g = s._gradient(terms, jac, pattern)
+        if len(history) > 2:
+            delta = solve(-g)
+            pred = -0.5 * float(g @ delta)
+            confirms = math.isfinite(pred) and pred <= _RELATIVE_TOLERANCE * err
+            step = s._line_search(x, err, delta) if confirms else None
+            if step is not None:
+                history.append(step[1])
+                return history, "chord_confirm"
         solve = s._factorize(s._linearize(terms, jac, pattern), pattern)
-        step = s._line_search(x, err, solve(-s._gradient(terms, jac, pattern)))
+        step = s._line_search(x, err, solve(-g))
         if step is None:
-            break
+            return history, "no_descent"
         prev = err
         x, err, terms = step
         history.append(err)
-        if err <= _ABSOLUTE_TOLERANCE or prev - err <= _RELATIVE_TOLERANCE * max(prev, 1e-300):
-            break
-    return history
+        if err <= _ABSOLUTE_TOLERANCE:
+            return history, "abs_tol"
+        if prev - err <= _RELATIVE_TOLERANCE * max(prev, 1e-300):
+            return history, "rel_decrease"
+    return history, "max_iterations"
 
 
 @pytest.mark.parametrize("meas_sigma, odo_sigma", [((0.5, 2.0), (0.02, 0.1)), ((10.0, 20.0), (0.01, 0.03))])
-def test_banded_updates_are_plain_gauss_newton(meas_sigma, odo_sigma):
+def test_banded_updates_are_gauss_newton_confirmed_by_a_chord_step(meas_sigma, odo_sigma):
     # the second chain is near-rigid, as the simulator's defaults make it
     rng = make_rng(107)
     s = Smoother()
@@ -830,10 +895,12 @@ def test_banded_updates_are_plain_gauss_newton(meas_sigma, odo_sigma):
         s.add_variable()
         for f in factors:
             s.add_factor(f)
-        want = _gauss_newton_history(s)
+        want, stop_reason = _gauss_newton_history(s)
         report = s.update()
         assert s._pattern()["mode"] == "banded"
-        assert report.factorizations == report.iterations
+        assert report.stop_reason == stop_reason
+        # a chord step that confirms convergence saves the last factorization
+        assert report.factorizations == report.iterations - (stop_reason == "chord_confirm")
         assert report.error_history == tuple(want)
 
 
@@ -877,35 +944,46 @@ def _cold_start_loop_graph(seed, n=40):
     return factors, init
 
 
-def _traced_batch_solve(factors, init):
-    """A smoother that solved factors from init in one update, its report, and its line searches and factorizations in order."""
+def _traced_batch_solve(factors, init, refuse_first_chord=False):
+    """A smoother that solved factors from init in one update, its report, and its line searches and factorizations in order.
+
+    With refuse_first_chord, the first chord step, a line search right after
+    an accepted step, reports no descent without being tried. Each event
+    comes with the point the line search started from, or None.
+    """
     s = Smoother()
     for k in range(len(init)):
         s.add_variable(init[k])
     for f in factors:
         s.add_factor(f)
-    events = []
+    events, points = [], []
     line_search, factorize = s._line_search, s._factorize
 
-    def traced_line_search(*args):
-        step = line_search(*args)
-        events.append("step" if step is not None else "no step")
+    def traced_line_search(x, *args):
+        if refuse_first_chord and events[-1:] == ["step"] and "refused" not in events:
+            step, event = None, "refused"
+        else:
+            step = line_search(x, *args)
+            event = "step" if step is not None else "no step"
+        events.append(event)
+        points.append(x)
         return step
 
     def traced_factorize(*args):
         events.append("factorize")
+        points.append(None)
         return factorize(*args)
 
     s._line_search, s._factorize = traced_line_search, traced_factorize
     report = s.update()
-    assert s._pattern()["mode"] == "sparse"
-    return s, report, events
+    return s, report, events, points
 
 
 @pytest.mark.parametrize("seed", [120, 121, 122])
 def test_cold_start_with_chord_stalls_matches_oracle(seed):
     factors, init = _cold_start_loop_graph(seed)
-    s, report, events = _traced_batch_solve(factors, init)
+    s, report, events, _ = _traced_batch_solve(factors, init)
+    assert s._pattern()["mode"] == "sparse"
     # chord steps were taken, and stalled into fresh factorizations
     assert report.converged
     assert 2 <= report.factorizations < report.iterations
@@ -918,7 +996,8 @@ def test_chord_step_without_descent_falls_back_to_a_full_step(monkeypatch):
     # without halvings, an overshooting chord step fails its line search
     monkeypatch.setattr("se2fusion.smoother._MAX_STEP_HALVINGS", 0)
     factors, init = _cold_start_loop_graph(120)
-    s, report, events = _traced_batch_solve(factors, init)
+    s, report, events, _ = _traced_batch_solve(factors, init)
+    assert s._pattern()["mode"] == "sparse"
     # a failed Gauss-Newton line search ends the solve, so a failed one
     # followed by a factorization was a chord step's
     fallbacks = [i for i in range(len(events) - 2) if events[i : i + 3] == ["no step", "factorize", "step"]]
@@ -927,3 +1006,64 @@ def test_chord_step_without_descent_falls_back_to_a_full_step(monkeypatch):
     assert report.iterations == events.count("step")
     oracle = dense_batch_solve(len(init), factors, init)
     assert max(pose_diff(s.pose_estimate(k), oracle[k]) for k in range(len(init))) < 1e-6
+
+
+def test_banded_chord_confirm_without_descent_falls_back_to_a_full_step():
+    # twenty poses: no closure yet, so the graph stays banded
+    factors, init = _cold_start_loop_graph(120, n=20)
+    s, report, events, points = _traced_batch_solve(factors, init, refuse_first_chord=True)
+    assert s._pattern()["mode"] == "banded"
+    # the refused chord step is followed by a factorization and a step from
+    # the same point, the converged one, whose small decrease ends the solve
+    i = events.index("refused")
+    assert events[i - 1 :] == ["step", "refused", "factorize", "step"]
+    assert points[i + 2] is points[i]
+    assert report.stop_reason == "rel_decrease"
+    assert report.iterations == events.count("step")
+    assert report.factorizations == events.count("factorize") == report.iterations
+    oracle = dense_batch_solve(len(init), factors, init)
+    assert max(pose_diff(s.pose_estimate(k), oracle[k]) for k in range(len(init))) < 1e-6
+
+
+def _fixes(start, *fixes):
+    """A smoother with one pose at start and a unit-noise fix at each of fixes."""
+    s = Smoother()
+    k = s.add_variable(start)
+    for fix in fixes:
+        s.add_factor(MeasurementFactor(k, fix, UNIT))
+    return s
+
+
+def _odometry_pair():
+    """A fixed pose and a pending one, joined by near-rigid odometry and a fix 9 m off it, at the default sigmas."""
+    s = Smoother()
+    k = s.add_variable(Pose2(0, 0, 0))
+    s.add_factor(PriorFactor(k, Pose2(0, 0, 0), PRIOR_DEFAULT))
+    s.add_variable()
+    s.add_factor(BetweenFactor(k, k + 1, Pose2(1, 0, 0.05), ODOMETRY_DEFAULT))
+    s.add_factor(MeasurementFactor(k + 1, Pose2(-5, 7, -0.3), MEASUREMENT_DEFAULT))
+    return s
+
+
+@pytest.mark.parametrize(
+    "build, constants, stop_reason, iterations",
+    [
+        # a start that fits its one factor, then one that a step fits
+        (lambda: _fixes(Pose2(1, 2, 3), Pose2(1, 2, 3)), {}, "abs_tol", 0),
+        (lambda: _fixes(Pose2(0, 0, 0), Pose2(5, 0, 0)), {}, "abs_tol", 1),
+        # the optimum between two fixes, where g is zero and the step too
+        (lambda: _fixes(Pose2(1, 0, 0), Pose2(0, 0, 0), Pose2(2, 0, 0)), {}, "rel_decrease", 1),
+        (lambda: _fixes(Pose2(4, -3, 2), Pose2(0, 0, 0), Pose2(1, 1, 1)), {}, "chord_confirm", 6),
+        # the full step overshoots the pending pose, and may not be halved
+        (_odometry_pair, {"_MAX_STEP_HALVINGS": 0}, "no_descent", 0),
+        (lambda: _fixes(Pose2(4, -3, 2), Pose2(0, 0, 0), Pose2(1, 1, 1)), {"_MAX_ITERATIONS": 2}, "max_iterations", 2),
+    ],
+    ids=["abs_tol-at-start", "abs_tol", "rel_decrease", "chord_confirm", "no_descent", "max_iterations"],
+)
+def test_update_reports_why_it_stopped(monkeypatch, build, constants, stop_reason, iterations):
+    for name, value in constants.items():
+        monkeypatch.setattr(f"se2fusion.smoother.{name}", value)
+    report = build().update()
+    assert report.stop_reason == stop_reason
+    assert report.iterations == iterations
+    assert report.converged == (stop_reason not in ("no_descent", "max_iterations"))
