@@ -270,6 +270,7 @@ class FusionDriver:
             "n_frames": len(self.reports),
             "iterations": [r.iterations for r in self.reports],
             "factorizations": [r.factorizations for r in self.reports],
+            "bordered": [r.bordered for r in self.reports],
             "latencies_ms": latencies,
             "mean_update_ms": sum(latencies) / len(latencies) if latencies else None,
             "max_update_ms": max(latencies) if latencies else None,

@@ -95,12 +95,15 @@ def test_fuse_writes_outputs(tmp_path):
     assert report["converged_all"] is True
     assert len(report["latencies_ms"]) == 40
     # the default chain stays banded, where every step factorizes once but
-    # a last chord step that confirms convergence with the factor it has;
-    # frame 0 stops after its second step, before any chord step is tried
+    # a last chord step that confirms convergence with the factor it has,
+    # and, from frame 2 on, a first step with the previous frame's factor
+    # bordered by the new pose; frame 0 stops after its second step, before
+    # any chord step is tried, and frame 1 widens the band of frame 0
     iterations = [2, 4, 4, 4, 4, 10, 5, 4, 5, 4, 5, 4, 4, 4, 4, 4, 3, 4, 4, 3, 3, 5, 3, 3, 4, 3, 4, 3, 3, 3, 3, 3, 4, 4, 4, 4, 3, 3, 3, 3]
-    factorizations = [2, 3, 3, 3, 3, 9, 4, 3, 4, 3, 4, 3, 3, 3, 3, 3, 3, 3, 3, 2, 2, 4, 2, 2, 3, 2, 3, 2, 2, 2, 2, 2, 3, 3, 3, 3, 2, 2, 2, 2]
+    factorizations = [2, 3, 2, 2, 2, 8, 3, 2, 3, 2, 3, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 3, 1, 1, 2, 1, 2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1]
     assert report["iterations"] == iterations
     assert report["factorizations"] == factorizations
+    assert report["bordered"] == [False] * 2 + [True] * 38
     assert report["max_update_ms"] >= report["mean_update_ms"] > 0.0
     est = read_trajectory_csv(out / "estimate.csv")
     online = read_trajectory_csv(out / "online.csv")

@@ -7,6 +7,7 @@ and never touches the library's sparse/banded assembly paths.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from se2fusion import (
     Smoother,
     Twist2,
 )
+from se2fusion.cli import RunConfig, _driver_from_config
 from se2fusion.noise import MEASUREMENT_DEFAULT, ODOMETRY_DEFAULT, PRIOR_DEFAULT
+from se2fusion.simulate import SimConfig, generate
 from se2fusion.smoother import (
     _ABSOLUTE_TOLERANCE,
     _FROM_ENTRIES,
@@ -481,6 +484,15 @@ def test_marginal_examples():
 
 
 def test_marginal_matches_dense_inverse_oracle():
+    _check_marginals_against_dense_inverse(incremental=False)
+
+
+def test_marginal_after_a_bordered_update_matches_dense_inverse_oracle():
+    _check_marginals_against_dense_inverse(incremental=True)
+
+
+def _check_marginals_against_dense_inverse(incremental):
+    """A chain solved once, or frame by frame, where the last update's first step is bordered."""
     rng = make_rng(79)
     n = 12
     s = Smoother()
@@ -494,7 +506,9 @@ def test_marginal_matches_dense_inverse_oracle():
             b = BetweenFactor(k - 1, k, Pose2(1.0, 0.1, 0.05), DiagonalNoise(0.05, 0.05, 0.02))
             s.add_factor(b)
             factors.append(b)
-    s.update()
+        if incremental or k == n - 1:
+            report = s.update()
+    assert report.bordered == incremental
     h, _ = dense_normal_equations(n, factors, s.estimate())
     cov = np.linalg.inv(h)
     for k in (0, 5, n - 1):
@@ -845,45 +859,56 @@ def test_truncate_returns_to_any_mark():
 
 
 def _gauss_newton_history(s):
-    """error_history and stop reason of Gauss-Newton from s's start point, one factorization per step.
+    """error_history, stop reason and bordered flag of Gauss-Newton from s's start point, one factorization per step.
 
-    From the second step on, the factor of the step before, back-solved at
-    the new point, may confirm convergence: when its predicted decrease is at
-    most _RELATIVE_TOLERANCE times the error and that chord step finds no
-    higher error, the solve ends with it. It runs s's own evaluation,
-    assembly, factorization and line search, and changes nothing in s.
+    The first step may take s's held factor bordered by the new pose, when
+    s._bordered_step gives one; it counts as the start point's factor, and
+    its small decrease ends nothing, as its gradient is the new factors'. From
+    the second step on, the factor of the step before, back-solved at the
+    new point, may confirm convergence, unless it is the start point's: when
+    its predicted decrease is at most _RELATIVE_TOLERANCE times the error
+    and that chord step finds no higher error, the solve ends with it. It
+    runs s's own evaluation, assembly, factorization and line search, and
+    changes nothing in s.
     """
     pattern = s._pattern()
     x = s._graph.x.copy()
     s._activate_pending(x)
-    err, terms = s._evaluate(x)
+    start = s._bordered_step(x, pattern)
+    if start is None:
+        err, terms = s._evaluate(x)
+        step = None
+    else:
+        err, _, _, step = start
     history = [err]
     if err <= _ABSOLUTE_TOLERANCE:
-        return history, "abs_tol"
-    solve = None
+        return history, "abs_tol", False
     for _ in range(_MAX_ITERATIONS):
-        jac = _jacobians(terms)
-        g = s._gradient(terms, jac, pattern)
-        if len(history) > 2:
-            delta = solve(-g)
-            pred = -0.5 * float(g @ delta)
-            confirms = math.isfinite(pred) and pred <= _RELATIVE_TOLERANCE * err
-            step = s._line_search(x, err, delta) if confirms else None
-            if step is not None:
-                history.append(step[1])
-                return history, "chord_confirm"
-        solve = s._factorize(s._linearize(terms, jac, pattern), pattern)
-        step = s._line_search(x, err, solve(-g))
         if step is None:
-            return history, "no_descent"
+            jac = _jacobians(terms)
+            g = s._gradient(terms, jac, pattern)
+            if len(history) > 2:
+                delta = solve(-g)
+                pred = -0.5 * float(g @ delta)
+                confirms = math.isfinite(pred) and pred <= _RELATIVE_TOLERANCE * err
+                step = s._line_search(x, err, delta) if confirms else None
+                if step is not None:
+                    history.append(step[1])
+                    return history, "chord_confirm", start is not None
+            solve, _ = s._factorize(s._linearize(terms, jac, pattern), pattern)
+            step = s._line_search(x, err, solve(-g))
+            if step is None:
+                return history, "no_descent", start is not None
         prev = err
         x, err, terms = step
+        step = None
         history.append(err)
         if err <= _ABSOLUTE_TOLERANCE:
-            return history, "abs_tol"
-        if prev - err <= _RELATIVE_TOLERANCE * max(prev, 1e-300):
-            return history, "rel_decrease"
-    return history, "max_iterations"
+            return history, "abs_tol", start is not None
+        # not after a bordered step, which left the old factors' gradient out
+        if prev - err <= _RELATIVE_TOLERANCE * max(prev, 1e-300) and len(history) > 1 + (start is not None):
+            return history, "rel_decrease", start is not None
+    return history, "max_iterations", start is not None
 
 
 @pytest.mark.parametrize("meas_sigma, odo_sigma", [((0.5, 2.0), (0.02, 0.1)), ((10.0, 20.0), (0.01, 0.03))])
@@ -891,17 +916,180 @@ def test_banded_updates_are_gauss_newton_confirmed_by_a_chord_step(meas_sigma, o
     # the second chain is near-rigid, as the simulator's defaults make it
     rng = make_rng(107)
     s = Smoother()
+    n_bordered = 0
     for factors in _random_incremental_graph(rng, 60, meas_sigma, odo_sigma, closure_rate=0.0):
         s.add_variable()
         for f in factors:
             s.add_factor(f)
-        want, stop_reason = _gauss_newton_history(s)
+        want, stop_reason, bordered = _gauss_newton_history(s)
         report = s.update()
-        assert s._pattern()["mode"] == "banded"
+        assert s._pattern()["mode"] == report.mode == "banded"
         assert report.stop_reason == stop_reason
-        # a chord step that confirms convergence saves the last factorization
-        assert report.factorizations == report.iterations - (stop_reason == "chord_confirm")
+        assert report.bordered == bordered
+        n_bordered += bordered
+        # a chord step that confirms convergence saves the last
+        # factorization, and a bordered first step the first
+        assert report.factorizations == report.iterations - (stop_reason == "chord_confirm") - bordered
         assert report.error_history == tuple(want)
+    # every frame but the first two, whose band is still growing
+    assert n_bordered == 58
+
+
+def _default_driver(sim, n_frames):
+    """A cli.FusionDriver with the defaults, fed the first n_frames frames of sim."""
+    driver = _driver_from_config(RunConfig())
+    driver.set_prior(sim.prior)
+    for sample in sim.odometry:
+        driver.add_odometry(sample)
+    for ts, pose in sim.measurements[:n_frames]:
+        driver.add_measurement(ts, pose)
+    return driver
+
+
+def _add_frame(s, fix, relative=Pose2(1.0, 0.0, 0.05), back=1):
+    """A pose, odometry into it from the pose back keys before and a fix on it, as FusionDriver adds a frame."""
+    k = s.add_variable()
+    s.add_factor(BetweenFactor(k - back, k, relative, ODOMETRY_DEFAULT))
+    s.add_factor(MeasurementFactor(k, fix, MEASUREMENT_DEFAULT))
+    return k
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_bordered_factor_matches_a_full_factorization(seed):
+    sim = generate(SimConfig(seed=seed, n_frames=301))
+    s = _default_driver(sim, 300).smoother
+    # hold a factor of H at the estimate, where the appended frame leaves
+    # the old poses, so that H at the start point is the bordered matrix
+    held_err, terms = s._evaluate(s._graph.x)
+    system, g_held = linearize(s, terms, s._pattern())
+    s._band_cache = (s._graph, s._factorize(system, s._pattern())[1], held_err)
+    _add_frame(s, sim.measurements[300][1])
+    pattern = s._pattern()
+    x = s._graph.x.copy()
+    s._activate_pending(x)
+    err, g, band = s._bordered_factor(x, pattern)
+
+    want_err, terms = s._evaluate(x)
+    system, want_g = linearize(s, terms, pattern)
+    _, want_band = s._factorize(system, pattern)
+    assert band.shape == want_band.shape
+    assert np.max(np.abs(band - want_band)) <= 1e-12 * np.max(np.abs(want_band))
+    assert err == pytest.approx(want_err, rel=1e-12)
+    # g is that of the new factors alone: H's gradient less the held graph's
+    want_g[: len(g_held)] -= g_held
+    assert np.max(np.abs(g - want_g)) <= 1e-9 * np.max(np.abs(want_g))
+
+
+def _refuse_first_line_search(s):
+    line_search = s._line_search
+    calls = []
+
+    def refusing(*args):
+        calls.append(None)
+        return None if len(calls) == 1 else line_search(*args)
+
+    s._line_search = refusing
+
+
+def _first_update(s):
+    # a chain solved once, in one update; the factors of _chain(20) and a frame
+    fresh = Smoother()
+    for k in range(21):
+        fresh.add_variable()
+        fresh.add_factor(MeasurementFactor(k, Pose2(k, 0, 0), UNIT))
+        if k:
+            fresh.add_factor(BetweenFactor(k - 1, k, Pose2(1, 0, 0), UNIT))
+    return fresh
+
+
+def _branch(s):
+    # a frame solved, then dropped for two others: as many poses as the held graph and one more
+    mark = s.checkpoint()
+    _add_frame(s, Pose2(20, 1, 0))
+    assert s.update().bordered
+    s.truncate(mark)
+    for _ in range(2):
+        _add_frame(s, Pose2(21, -1, 0), relative=Pose2(1, 0, -0.05))
+    return s
+
+
+def _old_key(s):
+    _add_frame(s, Pose2(20, 1, 0))
+    s.add_factor(MeasurementFactor(15, Pose2(15, 1, 0), UNIT))
+    return s
+
+
+def _wider_band(s):
+    # odometry from two poses back, past a pose without a fix
+    s.add_variable()
+    s.add_factor(BetweenFactor(19, 20, Pose2(1, 0, 0), UNIT))
+    s.update()
+    _add_frame(s, Pose2(21, 1, 0), back=2)
+    return s
+
+
+def _loop_closure(s):
+    k = _add_frame(s, Pose2(20, 1, 0))
+    s.add_factor(BetweenFactor(0, k, Pose2(k, 0, 0), UNIT))
+    return s
+
+
+@pytest.mark.parametrize(
+    "build, mode",
+    [
+        (_first_update, "banded"),
+        (_branch, "banded"),
+        (_old_key, "banded"),
+        (_wider_band, "banded"),
+        (_loop_closure, "sparse"),
+    ],
+    ids=["first-update", "truncate-then-branch", "factor-on-an-old-key", "wider-band", "sparse"],
+)
+def test_updates_that_do_not_append_a_frame_take_the_full_pass(build, mode):
+    s = build(_chain(20))
+    # the full pass from the same point, as with no factor held
+    twin = build(_chain(20))
+    twin._bordered_factor = lambda *_: None
+    report, want = s.update(), twin.update()
+    assert report.mode == mode
+    assert not report.bordered
+    assert report.error_history == want.error_history
+    assert s.estimate() == twin.estimate()
+
+
+def test_bordered_step_without_descent_falls_back_to_a_full_pass():
+    s, twin = _chain(20), _chain(20)
+    for sm in (s, twin):
+        _add_frame(sm, Pose2(20, 1, 0))
+    twin._bordered_factor = lambda *_: None
+    _refuse_first_line_search(s)
+    assert s._bordered_factor(s._graph.x.copy(), s._pattern()) is not None
+    report, want = s.update(), twin.update()
+    assert not report.bordered
+    assert report == replace(want, duration_ms=report.duration_ms)
+    assert s.estimate() == twin.estimate()
+
+
+def test_default_chains_border_every_frame_after_the_first_two():
+    # counts repeat exactly, unlike times; the parent of the bordered step
+    # (commit 5e8a90b) read 3.245 iterations and 2.255 full factorizations
+    # per update on this chain
+    parent_iterations, parent_factorizations = 3.245, 2.255
+    reports = _default_driver(generate(SimConfig(seed=1, n_frames=200)), 200).reports
+    # frame 0 has nothing to border, and frame 1 widens frame 0's band, a
+    # single pose's, to a chain's
+    assert [r.bordered for r in reports] == [False, False] + [True] * 198
+    assert all(r.mode == "banded" for r in reports)
+    assert sum(r.factorizations for r in reports) / len(reports) <= parent_factorizations - 0.9
+    assert sum(r.iterations for r in reports) / len(reports) <= parent_iterations + 0.01
+
+
+def test_no_descent_converged_at_the_newton_decrement_bound():
+    # frame 0 of default seed 30: a converged single pose whose step of
+    # 2.75e-9 m finds no lower error, at a predicted decrease of 5e-18 err
+    report = _default_driver(generate(SimConfig(seed=30, n_frames=600)), 1).reports[0]
+    assert report.stop_reason == "no_descent"
+    assert report.converged
 
 
 def test_sparse_updates_reuse_the_factorization():

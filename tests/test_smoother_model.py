@@ -2,15 +2,20 @@
 
 Hypothesis runs add_variable, add_factor, update, checkpoint/truncate and
 marginal_sigma in any order. The machine keeps the variables and factors the
-smoother holds, and checks four things:
-- a call that raises leaves the graph, the estimate, the pending keys and
-  the marginal cache as they were, byte for byte;
+smoother holds, and checks five things:
+- a call that raises leaves the graph, the estimate, the pending keys, the
+  marginal cache and the held band factor as they were, byte for byte;
 - every mark held keeps the state of its checkpoint, byte for byte, and
   truncate() to any of them, older or newer than the state it replaces,
   gives that state back;
 - update() fails just when a fresh smoother's batch solve of the same graph
   fails, and after a successful one the estimate matches that solve to
   1e-6, as criterion 3 asks;
+- an update() whose first step was bordered starts from a graph that
+  appends one pose, and factors on it and the pose before, to the graph of
+  the last banded update that factorized, with that graph's poses still
+  where its update left them; later steps would correct the first step of
+  a stale factor, so only this shows one;
 - marginal_sigma matches sqrt(diag(H^-1)) of the dense normal equations of
   test_smoother.py at the estimate, for a key drawn by a rule, and for the
   newest key after every rule that changed the graph or the estimate.
@@ -78,15 +83,18 @@ class SmootherModel(RuleBasedStateMachine):
         # counts the calls that changed the graph or the estimate, and its value at the last marginal check
         self.changes = 0
         self.checked = -1
+        # the graph the last banded update that factorized committed
+        self.held = None
 
     def rejected(self, call, *errors) -> bool:
         """Whether call raised one of errors; if it did, it changed nothing."""
-        before, graph, cache = state(self.s._graph), self.s._graph, self.s._marginal_cache
+        before, graph = state(self.s._graph), self.s._graph
+        cache, band = self.s._marginal_cache, self.s._band_cache
         try:
             call()
         except errors:
             assert state(self.s._graph) == before
-            assert self.s._graph is graph and self.s._marginal_cache is cache
+            assert self.s._graph is graph and self.s._marginal_cache is cache and self.s._band_cache is band
             return True
         return False
 
@@ -152,14 +160,18 @@ class SmootherModel(RuleBasedStateMachine):
         self.add(BetweenFactor(b, a, off(path(b).between(path(a)), offset, FIX), FIX))
 
     @precondition(lambda self: len(self.guesses) < 40)
-    @rule(frames=st.lists(st.tuples(OFFSETS, st.integers(0, 3)), min_size=1, max_size=3))
-    def add_frames(self, frames):
+    @rule(frames=st.lists(st.tuples(OFFSETS, st.integers(0, 3)), min_size=1, max_size=3), batched=st.booleans())
+    def add_frames(self, frames, batched):
         """Poses with odometry and a fix, each dropped again if update() rejects it, as the stream driver adds frames.
 
         The frame after a rejected one has as many variables and factors,
         and the same keys, which a pattern cache keyed on sizes would fit.
+        Batched, one update() solves, or drops, them all: after a truncate()
+        to an older mark, two frames then make as many variables as the
+        graph of a bordered factor that the mark left behind, and one more.
         """
-        for offset, overflow in frames:
+        first = self.mark()
+        for i, (offset, overflow) in enumerate(frames):
             mark = self.mark()
             k = len(self.guesses)
             self.add_variable(False, offset)
@@ -167,8 +179,23 @@ class SmootherModel(RuleBasedStateMachine):
                 self.add(BetweenFactor(k - 1, k, off(path(k - 1).between(path(k)), offset, ODOMETRY), ODOMETRY))
             fix = Pose2(1e300, 0.0, 0.0) if overflow == 0 else off(path(k), offset, FIX)
             self.add(MeasurementFactor(k, fix, FIX))
+            if batched and i < len(frames) - 1:
+                continue
             if not self.solve():
-                self.restore(mark)
+                self.restore(first if batched else mark)
+
+    @precondition(lambda self: len(self.guesses) < 38)
+    @rule(frames=st.lists(st.tuples(OFFSETS, st.integers(1, 3)), min_size=3, max_size=3))
+    def replace_frame(self, frames):
+        """A frame solved, then dropped by truncate() for two others from the same mark, solved in one update.
+
+        Those two make one variable more than the graph the dropped frame
+        left its factor for, on a branch that does not extend that graph.
+        """
+        mark = self.mark()
+        self.add_frames(frames[:1], False)
+        self.restore(mark)
+        self.add_frames(frames[1:], True)
 
     @rule()
     def update(self):
@@ -185,8 +212,14 @@ class SmootherModel(RuleBasedStateMachine):
             fresh.update()
         except GaugeError:
             fresh = None
+        # the graph and the start point of this update
+        start = self.s._graph
+        x0 = start.x.copy()
+        if start.pending:
+            self.s._activate_pending(x0)
+        reports = []
         # a rejected update() is one that a fresh solve of the graph rejects too
-        if self.rejected(self.s.update, GaugeError):
+        if self.rejected(lambda: reports.append(self.s.update()), GaugeError):
             assert fresh is None
             return False
         self.changes += 1
@@ -194,6 +227,20 @@ class SmootherModel(RuleBasedStateMachine):
         got, want = self.s.estimate(), fresh.estimate()
         assert len(got) == len(self.guesses)
         assert max(pose_diff(got[k], want[k]) for k in got) < 1e-6
+        report = reports[0]
+        if report.bordered:
+            # one pose more than the held graph, whose factors come first,
+            # the new ones on its last pose and the new one, and its poses
+            # still where its update left them
+            held = self.held
+            n, nu, nb = len(held.x), len(held.un_keys), len(held.bt)
+            assert len(x0) == n + 1 and np.array_equal(x0[:n], held.x)
+            for name in ("un_keys", "un", "bt"):
+                assert np.array_equal(getattr(start, name)[: len(getattr(held, name))], getattr(held, name))
+            assert np.array_equal(start.bt_keys[:, :nb], held.bt_keys)
+            assert min(start.un_keys[nu:].min(initial=n), start.bt_keys[:, nb:].min(initial=n)) >= n - 1
+        if report.mode == "banded" and report.factorizations:
+            self.held = self.s._graph
         return True
 
     @rule()
