@@ -91,16 +91,19 @@ _FIELDS = {f.name: f for f in fields(RunConfig)}
 _JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
+def _is_json_kind(value, kind) -> bool:
+    # bool is an int subclass, but true is not a number
+    return not isinstance(value, bool) and isinstance(value, _JSON_KINDS[kind][0])
+
+
 def _from_json(key: str, value):
     f = _FIELDS[key]
     kind, arity = f.metadata["kind"], f.metadata["arity"]
     if value is None and f.default is None:
         return None
     items = value if arity > 1 and isinstance(value, list) else [value]
-    types, what = _JSON_KINDS[kind]
-    # bool is an int subclass, but true is not a number
-    if len(items) != arity or any(isinstance(x, bool) or not isinstance(x, types) for x in items):
-        what = f"a list of {arity} numbers" if arity > 1 else what
+    if len(items) != arity or not all(_is_json_kind(x, kind) for x in items):
+        what = f"a list of {arity} numbers" if arity > 1 else _JSON_KINDS[kind][1]
         raise ValidationError(f"config key {key!r} must be {what}, got {value!r}")
     return tuple(map(float, items)) if arity > 1 else kind(value)
 
@@ -174,9 +177,12 @@ def _read_prior_json(path) -> Pose2:
     data = _load_json(path)
     if not isinstance(data, dict) or set(data) != {"x", "y", "theta"}:
         raise ValidationError(f"{path}: prior file must be an object with keys x, y, theta")
+    if not all(_is_json_kind(v, float) for v in data.values()):
+        raise ValidationError(f"{path}: prior x, y and theta must be numbers, got {data!r}")
+    # a JSON integer too large for a float overflows
     try:
         return Pose2(float(data["x"]), float(data["y"]), float(data["theta"]))
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ValidationError(f"{path}: invalid prior pose: {exc}") from None
 
 

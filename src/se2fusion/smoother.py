@@ -17,15 +17,15 @@ step (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
 ch. 5). It takes the chord step while its predicted decrease -g^T delta / 2
 is at most _CHORD_RATE (0.1) times that of the step before, and factorizes H
 afresh when the prediction stalls or the chord step's line search fails.
-Chord steps converge linearly, so one ends the solve only when its decrease
-is at most _CHORD_STOP (1e-2) times the Gauss-Newton bound.
+Chord steps converge only linearly, so one ends the solve only when it
+predicts _CHORD_STOP (1e-2) times less than the test asks of a
+Gauss-Newton step.
 
 Banded mode takes a chord step only to confirm convergence. After an
 accepted step it back-solves g at the new point with the factor it has,
-unless that factor is the start point's. When the predicted decrease is at
-most _RELATIVE_TOLERANCE times the error and the step finds no higher
-error, that step ends the solve. Otherwise, as with a prediction that is
-not finite, it factorizes H at that point. The start point's factor is
+unless that factor is the first step's. When the step's prediction passes
+the test and its line search finds no higher error, that step ends the
+solve. Otherwise it factorizes H at that point. The first step's factor is
 left out because H there, before the new pose and fix have moved the
 chain, is the furthest from H at the optimum: over 19200 default frames,
 confirm steps with it left Newton steps of up to 3.4e-4 at the estimate,
@@ -61,10 +61,10 @@ graph's, with one pose more and new factors only on it and the pose
 before, in a chain's band. The first update, a branch after truncate() to
 another mark, a factor on an older pose, a wider band and sparse mode take
 the full pass, as does a bordered matrix that is not positive definite or
-a bordered step that finds no descent. The bordered factor counts as the
-start point's, so no confirm step uses it; it is never held for a later
-update nor cached for marginals, and a small decrease after it ends
-nothing, as its gradient left the old factors out.
+a bordered step that finds no descent. The bordered factor is the first
+step's, so no confirm step uses it; it is never held for a later update
+nor cached for marginals, and the bordered step's prediction ends nothing,
+as its gradient left the old factors out.
 
 The index pattern that scatters those entries into H and g is a function
 of the factor keys, built in one pass whenever a variable or factor is
@@ -113,19 +113,21 @@ _CHAIN_BAND = 5
 _TAIL_I, _TAIL_J = np.tril_indices(6)
 
 # update() takes at most _MAX_ITERATIONS steps, each halved at most
-# _MAX_STEP_HALVINGS times to find a decrease, and stops at an error of at
-# most _ABSOLUTE_TOLERANCE or a step that cuts it by _RELATIVE_TOLERANCE or
-# less, or in banded mode after a chord step predicted to do so. A step that
-# finds no decrease stops it too, converged if predicted to cut the error
-# by _RELATIVE_TOLERANCE or less.
+# _MAX_STEP_HALVINGS times to find a decrease. It converges at an error of
+# at most _ABSOLUTE_TOLERANCE, or with a step whose predicted decrease, the
+# Newton decrement -g^T delta / 2 (Boyd and Vandenberghe, Convex
+# Optimization, 2004, 9.5.1), is at most _RELATIVE_TOLERANCE times the error
+# (_converges): it ends after that step, or at the step's start when its
+# line search finds no decrease. A step that predicts more and finds none
+# ends it unconverged, as do _MAX_ITERATIONS steps.
 _MAX_ITERATIONS = 100
 _RELATIVE_TOLERANCE = 1e-9
 _ABSOLUTE_TOLERANCE = 1e-12
 _MAX_STEP_HALVINGS = 10
 
 # Sparse mode's chord steps (see above): the largest ratio of a chord step's
-# predicted decrease to the step before's, and the factor on the relative
-# decrease that ends a solve after a chord step.
+# predicted decrease to the step before's, and the factor on the bound of
+# _converges that a chord step must meet.
 _CHORD_RATE = 0.1
 _CHORD_STOP = 1e-2
 
@@ -176,18 +178,26 @@ class SolveReport:
     iterations: int
     initial_error: float
     final_error: float
-    converged: bool
     duration_ms: float
     error_history: tuple[float, ...] = ()
     factorizations: int = 0
-    # abs_tol, rel_decrease (after a Gauss-Newton step or a sparse chord
-    # step), chord_confirm, no_descent or max_iterations
+    # abs_tol or decrement (see _converges) when the solve converged,
+    # no_descent or max_iterations when it did not
     stop_reason: str = ""
     # whether the first step used the previous update's band factor,
     # bordered by the new pose; factorizations counts only full ones
     bordered: bool = False
     # banded or sparse
     mode: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("abs_tol", "decrement")
+
+
+def _converges(pred: float, err: float, sparse_chord: bool = False) -> bool:
+    """update()'s one convergence test, of a step from error err that predicts a decrease pred."""
+    return math.isfinite(pred) and pred <= (_CHORD_STOP if sparse_chord else 1.0) * _RELATIVE_TOLERANCE * err
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:
@@ -740,11 +750,8 @@ class Smoother:
         factorizations = 0
         # the last full factor, in banded mode
         band = None
-        converged = err <= _ABSOLUTE_TOLERANCE
-        # each rule that ends the loop early sets its own
-        stop_reason = "abs_tol" if converged else "max_iterations"
-        if not converged:
-            chord = False
+        stop_reason = "abs_tol" if err <= _ABSOLUTE_TOLERANCE else "max_iterations"
+        if err > _ABSOLUTE_TOLERANCE:
             # every pass accepts one step, or ends the loop; the bordered
             # step, if any, is the first pass's
             for _ in range(_MAX_ITERATIONS):
@@ -753,15 +760,12 @@ class Smoother:
                     g = self._gradient(terms, jac, pattern)
                     # a chord step, with the factor of an earlier point: in
                     # sparse mode while its predicted decrease falls
-                    # geometrically, in banded mode only to confirm convergence
-                    # and never with the start point's factor, the bordered one
-                    # or else the first full one; a non-finite prediction fails
-                    # both tests
-                    if solve is not None and (sparse or factorizations + bordered > 1):
+                    # geometrically, in banded mode only when it would end the
+                    # solve, and never with the first step's factor
+                    if solve is not None and (sparse or len(history) > 2):
                         delta = solve(-g)
                         pred = -0.5 * float(g @ delta)
-                        bound = _CHORD_RATE * last_pred if sparse else _RELATIVE_TOLERANCE * err
-                        chord = math.isfinite(pred) and pred <= bound
+                        chord = math.isfinite(pred) and pred <= _CHORD_RATE * last_pred if sparse else _converges(pred, err)
                         if chord:
                             step = self._line_search(X, err, delta)
                 if step is None:
@@ -774,31 +778,17 @@ class Smoother:
                         raise GaugeError("normal equations produced a non-finite step")
                     pred = -0.5 * float(g @ delta)
                     step = self._line_search(X, err, delta)
-                    if step is None:
-                        # err is above _ABSOLUTE_TOLERANCE here, or the loop
-                        # would have ended; converged if the step was as small
-                        # as one that would confirm convergence
-                        converged = math.isfinite(pred) and pred <= _RELATIVE_TOLERANCE * err
-                        stop_reason = "no_descent"
-                        break
-                X, trial_err, terms = step
+                # the bordered step's prediction left the old factors out
+                done = _converges(pred, err, sparse and chord) and len(history) > bordered
+                if step is None:
+                    stop_reason = "decrement" if done else "no_descent"
+                    break
+                X, err, terms = step
                 step = None
                 last_pred = pred
-                decrease = err - trial_err
-                prev = err
-                err = trial_err
                 history.append(err)
-                if chord and not sparse:
-                    converged, stop_reason = True, "chord_confirm"
-                    break
-                # chord steps converge linearly, so one small decrease shows
-                # less; the bordered step left the old factors' gradient out,
-                # so its decrease shows nothing of theirs
-                tolerance = _RELATIVE_TOLERANCE * (_CHORD_STOP if chord else 1.0)
-                small = decrease <= tolerance * max(prev, 1e-300) and len(history) > 1 + bordered
-                if err <= _ABSOLUTE_TOLERANCE or small:
-                    converged = True
-                    stop_reason = "abs_tol" if err <= _ABSOLUTE_TOLERANCE else "rel_decrease"
+                if err <= _ABSOLUTE_TOLERANCE or done:
+                    stop_reason = "abs_tol" if err <= _ABSOLUTE_TOLERANCE else "decrement"
                     break
         if solve is None:
             # only a factorization shows that the normal equations are
@@ -819,7 +809,6 @@ class Smoother:
             iterations=iterations,
             initial_error=history[0],
             final_error=err,
-            converged=converged,
             duration_ms=(time.perf_counter() - t0) * 1e3,
             error_history=tuple(history),
             factorizations=factorizations,

@@ -99,7 +99,7 @@ def test_fuse_writes_outputs(tmp_path):
     # and, from frame 2 on, a first step with the previous frame's factor
     # bordered by the new pose; frame 0 stops after its second step, before
     # any chord step is tried, and frame 1 widens the band of frame 0
-    iterations = [2, 4, 4, 4, 4, 10, 5, 4, 5, 4, 5, 4, 4, 4, 4, 4, 3, 4, 4, 3, 3, 5, 3, 3, 4, 3, 4, 3, 3, 3, 3, 3, 4, 4, 4, 4, 3, 3, 3, 3]
+    iterations = [2, 4, 4, 4, 4, 10, 5, 4, 5, 4, 5, 4, 4, 4, 4, 4, 4, 4, 4, 3, 3, 5, 3, 3, 4, 3, 4, 3, 3, 3, 3, 3, 4, 4, 4, 4, 3, 3, 3, 3]
     factorizations = [2, 3, 2, 2, 2, 8, 3, 2, 3, 2, 3, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 3, 1, 1, 2, 1, 2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1]
     assert report["iterations"] == iterations
     assert report["factorizations"] == factorizations
@@ -140,6 +140,30 @@ def test_fuse_single_frame_closed_form(tmp_path):
     est = read_trajectory_csv(out / "estimate.csv")
     assert len(est) == 1
     assert pose_diff(est[0][1], Pose2(1.0, 0.0, 0.0)) < 1e-9
+
+
+def test_fuse_rejects_a_prior_that_is_not_numbers(tmp_path, capsys):
+    data = simulate(tmp_path / "data", "--seed", 3, "--n-frames", 5)
+    prior = data / "prior.json"
+    bad_priors = (
+        {"x": True, "y": 0.0, "theta": 0.0},
+        {"x": 0.0, "y": "2.5", "theta": 0.0},
+        # a JSON integer that overflows a float
+        {"x": 0, "y": 10**400, "theta": 0},
+    )
+    for bad in bad_priors:
+        prior.write_text(json.dumps(bad))
+        code = run(
+            "fuse",
+            "--odometry", data / "odometry.csv",
+            "--measurements", data / "measurements.csv",
+            "--prior", prior,
+            "--out-dir", tmp_path / "out",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {prior}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "estimate.csv").exists()
 
 
 def test_fuse_smooths_noise(tmp_path):

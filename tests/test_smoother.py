@@ -859,56 +859,61 @@ def test_truncate_returns_to_any_mark():
 
 
 def _gauss_newton_history(s):
-    """error_history, stop reason and bordered flag of Gauss-Newton from s's start point, one factorization per step.
+    """error_history, stop reason, bordered flag and factorizations of Gauss-Newton from s's start point.
 
-    The first step may take s's held factor bordered by the new pose, when
-    s._bordered_step gives one; it counts as the start point's factor, and
-    its small decrease ends nothing, as its gradient is the new factors'. From
-    the second step on, the factor of the step before, back-solved at the
-    new point, may confirm convergence, unless it is the start point's: when
-    its predicted decrease is at most _RELATIVE_TOLERANCE times the error
-    and that chord step finds no higher error, the solve ends with it. It
-    runs s's own evaluation, assembly, factorization and line search, and
-    changes nothing in s.
+    A step converges when its predicted decrease -g^T delta / 2 is at most
+    _RELATIVE_TOLERANCE times the error at its start: the solve ends after
+    it, or at its start when its line search finds no decrease. The first
+    step may take s's held factor bordered by the new pose, when
+    s._bordered_step gives one; its prediction ends nothing, as its gradient
+    is the new factors'. Every other step factorizes H, but from the third
+    point on the factor of the step before, back-solved at the new point,
+    goes first when its prediction converges and its line search finds no
+    higher error. It runs s's own evaluation, assembly, factorization and
+    line search, and changes nothing in s.
     """
     pattern = s._pattern()
     x = s._graph.x.copy()
     s._activate_pending(x)
     start = s._bordered_step(x, pattern)
-    if start is None:
+    bordered = start is not None
+    if bordered:
+        err, _, _, step = start
+    else:
         err, terms = s._evaluate(x)
         step = None
-    else:
-        err, _, _, step = start
     history = [err]
+    factorizations = 0
     if err <= _ABSOLUTE_TOLERANCE:
-        return history, "abs_tol", False
+        # update() factorizes once to check that H is regular
+        return history, "abs_tol", bordered, 1
     for _ in range(_MAX_ITERATIONS):
+        converges = False
         if step is None:
             jac = _jacobians(terms)
             g = s._gradient(terms, jac, pattern)
             if len(history) > 2:
                 delta = solve(-g)
                 pred = -0.5 * float(g @ delta)
-                confirms = math.isfinite(pred) and pred <= _RELATIVE_TOLERANCE * err
-                step = s._line_search(x, err, delta) if confirms else None
-                if step is not None:
-                    history.append(step[1])
-                    return history, "chord_confirm", start is not None
-            solve, _ = s._factorize(s._linearize(terms, jac, pattern), pattern)
-            step = s._line_search(x, err, solve(-g))
+                converges = math.isfinite(pred) and pred <= _RELATIVE_TOLERANCE * err
+                step = s._line_search(x, err, delta) if converges else None
             if step is None:
-                return history, "no_descent", start is not None
-        prev = err
+                solve, _ = s._factorize(s._linearize(terms, jac, pattern), pattern)
+                factorizations += 1
+                delta = solve(-g)
+                pred = -0.5 * float(g @ delta)
+                converges = math.isfinite(pred) and pred <= _RELATIVE_TOLERANCE * err
+                step = s._line_search(x, err, delta)
+                if step is None:
+                    return history, "decrement" if converges else "no_descent", bordered, factorizations
         x, err, terms = step
         step = None
         history.append(err)
         if err <= _ABSOLUTE_TOLERANCE:
-            return history, "abs_tol", start is not None
-        # not after a bordered step, which left the old factors' gradient out
-        if prev - err <= _RELATIVE_TOLERANCE * max(prev, 1e-300) and len(history) > 1 + (start is not None):
-            return history, "rel_decrease", start is not None
-    return history, "max_iterations", start is not None
+            return history, "abs_tol", bordered, factorizations
+        if converges:
+            return history, "decrement", bordered, factorizations
+    return history, "max_iterations", bordered, factorizations
 
 
 @pytest.mark.parametrize("meas_sigma, odo_sigma", [((0.5, 2.0), (0.02, 0.1)), ((10.0, 20.0), (0.01, 0.03))])
@@ -916,23 +921,25 @@ def test_banded_updates_are_gauss_newton_confirmed_by_a_chord_step(meas_sigma, o
     # the second chain is near-rigid, as the simulator's defaults make it
     rng = make_rng(107)
     s = Smoother()
-    n_bordered = 0
+    n_bordered = n_confirmed = 0
     for factors in _random_incremental_graph(rng, 60, meas_sigma, odo_sigma, closure_rate=0.0):
         s.add_variable()
         for f in factors:
             s.add_factor(f)
-        want, stop_reason, bordered = _gauss_newton_history(s)
+        want, stop_reason, bordered, factorizations = _gauss_newton_history(s)
         report = s.update()
         assert s._pattern()["mode"] == report.mode == "banded"
         assert report.stop_reason == stop_reason
         assert report.bordered == bordered
+        assert report.factorizations == factorizations
+        assert report.error_history == tuple(want)
         n_bordered += bordered
         # a chord step that confirms convergence saves the last
         # factorization, and a bordered first step the first
-        assert report.factorizations == report.iterations - (stop_reason == "chord_confirm") - bordered
-        assert report.error_history == tuple(want)
+        n_confirmed += factorizations == report.iterations - 1 - bordered
     # every frame but the first two, whose band is still growing
     assert n_bordered == 58
+    assert n_confirmed > 0
 
 
 def _default_driver(sim, n_frames):
@@ -1070,6 +1077,21 @@ def test_bordered_step_without_descent_falls_back_to_a_full_pass():
     assert s.estimate() == twin.estimate()
 
 
+def test_a_bordered_step_does_not_end_the_solve():
+    # a frame whose odometry and fix agree with the estimate: the bordered
+    # step predicts about no decrease, but its gradient is the new factors'
+    # alone, so a Gauss-Newton step follows
+    s = _chain(20)
+    _add_frame(s, Pose2(20, 1, 0))
+    s.update()
+    relative = Pose2(1.0, 0.0, 0.05)
+    _add_frame(s, s.pose_estimate(20).compose(relative), relative)
+    report = s.update()
+    assert report.bordered
+    assert report.stop_reason == "decrement"
+    assert (report.iterations, report.factorizations) == (2, 1)
+
+
 def test_default_chains_border_every_frame_after_the_first_two():
     # counts repeat exactly, unlike times; the parent of the bordered step
     # (commit 5e8a90b) read 3.245 iterations and 2.255 full factorizations
@@ -1084,19 +1106,42 @@ def test_default_chains_border_every_frame_after_the_first_two():
     assert sum(r.iterations for r in reports) / len(reports) <= parent_iterations + 0.01
 
 
-def test_no_descent_converged_at_the_newton_decrement_bound():
+def test_step_without_descent_converges_at_the_newton_decrement_bound():
     # frame 0 of default seed 30: a converged single pose whose step of
     # 2.75e-9 m finds no lower error, at a predicted decrease of 5e-18 err
     report = _default_driver(generate(SimConfig(seed=30, n_frames=600)), 1).reports[0]
-    assert report.stop_reason == "no_descent"
+    assert report.stop_reason == "decrement"
     assert report.converged
+    # two accepted steps, then a chord step and a Gauss-Newton step that find no descent
+    assert (report.iterations, report.factorizations) == (2, 3)
+
+
+def test_a_small_actual_decrease_does_not_end_the_solve():
+    # frame 16 of default seed 3: its third step moves the chain by 8.7e-4 m
+    # and cuts the error by only 9.7e-10 of it, but predicted more than
+    # _RELATIVE_TOLERANCE of it, so a fourth step, a chord step, confirms
+    driver = _default_driver(generate(SimConfig(seed=3, n_frames=40)), 17)
+    report = driver.reports[16]
+    h = report.error_history
+    assert h[2] - h[3] <= _RELATIVE_TOLERANCE * h[2]
+    assert report.stop_reason == "decrement"
+    assert report.bordered
+    assert (report.iterations, report.factorizations) == (4, 2)
+    # the Newton step left at the estimate: 1.6e-6, where stopping after the
+    # third step left 3.3e-5
+    s = driver.smoother
+    pattern = s._pattern()
+    terms = s._evaluate(s._graph.x)[1]
+    jac = _jacobians(terms)
+    solve, _ = s._factorize(s._linearize(terms, jac, pattern), pattern)
+    assert np.abs(solve(-s._gradient(terms, jac, pattern))).max() < 1e-5
 
 
 def test_sparse_updates_reuse_the_factorization():
     rng = make_rng(112)
     steps = _random_incremental_graph(rng, 80, meas_sigma=(0.01, 0.05), odo_sigma=(0.002, 0.008))
     s = Smoother()
-    sparse = []
+    reports, sparse = [], []
     for factors in steps:
         s.add_variable()
         for f in factors:
@@ -1104,9 +1149,10 @@ def test_sparse_updates_reuse_the_factorization():
         report = s.update()
         if s._pattern()["mode"] == "sparse":
             sparse.append(report)
-    assert len(sparse) >= 40
-    assert sum(r.factorizations for r in sparse) <= 1.5 * len(sparse)
-    assert sum(r.iterations for r in sparse) > sum(r.factorizations for r in sparse)
+        reports.append(report)
+    # exact counts, so that a change of the stop rule shows
+    assert (len(reports), sum(r.iterations for r in reports), sum(r.factorizations for r in reports)) == (80, 247, 104)
+    assert (len(sparse), sum(r.iterations for r in sparse), sum(r.factorizations for r in sparse)) == (55, 174, 55)
 
 
 def _cold_start_loop_graph(seed, n=40):
@@ -1202,11 +1248,12 @@ def test_banded_chord_confirm_without_descent_falls_back_to_a_full_step():
     s, report, events, points = _traced_batch_solve(factors, init, refuse_first_chord=True)
     assert s._pattern()["mode"] == "banded"
     # the refused chord step is followed by a factorization and a step from
-    # the same point, the converged one, whose small decrease ends the solve
+    # the same point, the converged one, whose small predicted decrease
+    # ends the solve
     i = events.index("refused")
     assert events[i - 1 :] == ["step", "refused", "factorize", "step"]
     assert points[i + 2] is points[i]
-    assert report.stop_reason == "rel_decrease"
+    assert report.stop_reason == "decrement"
     assert report.iterations == events.count("step")
     assert report.factorizations == events.count("factorize") == report.iterations
     oracle = dense_batch_solve(len(init), factors, init)
@@ -1234,24 +1281,25 @@ def _odometry_pair():
 
 
 @pytest.mark.parametrize(
-    "build, constants, stop_reason, iterations",
+    "build, constants, stop_reason, iterations, factorizations",
     [
         # a start that fits its one factor, then one that a step fits
-        (lambda: _fixes(Pose2(1, 2, 3), Pose2(1, 2, 3)), {}, "abs_tol", 0),
-        (lambda: _fixes(Pose2(0, 0, 0), Pose2(5, 0, 0)), {}, "abs_tol", 1),
+        (lambda: _fixes(Pose2(1, 2, 3), Pose2(1, 2, 3)), {}, "abs_tol", 0, 1),
+        (lambda: _fixes(Pose2(0, 0, 0), Pose2(5, 0, 0)), {}, "abs_tol", 1, 1),
         # the optimum between two fixes, where g is zero and the step too
-        (lambda: _fixes(Pose2(1, 0, 0), Pose2(0, 0, 0), Pose2(2, 0, 0)), {}, "rel_decrease", 1),
-        (lambda: _fixes(Pose2(4, -3, 2), Pose2(0, 0, 0), Pose2(1, 1, 1)), {}, "chord_confirm", 6),
+        (lambda: _fixes(Pose2(1, 0, 0), Pose2(0, 0, 0), Pose2(2, 0, 0)), {}, "decrement", 1, 1),
+        # five Gauss-Newton steps, then a chord step with the fifth's factor
+        (lambda: _fixes(Pose2(4, -3, 2), Pose2(0, 0, 0), Pose2(1, 1, 1)), {}, "decrement", 6, 5),
         # the full step overshoots the pending pose, and may not be halved
-        (_odometry_pair, {"_MAX_STEP_HALVINGS": 0}, "no_descent", 0),
-        (lambda: _fixes(Pose2(4, -3, 2), Pose2(0, 0, 0), Pose2(1, 1, 1)), {"_MAX_ITERATIONS": 2}, "max_iterations", 2),
+        (_odometry_pair, {"_MAX_STEP_HALVINGS": 0}, "no_descent", 0, 1),
+        (lambda: _fixes(Pose2(4, -3, 2), Pose2(0, 0, 0), Pose2(1, 1, 1)), {"_MAX_ITERATIONS": 2}, "max_iterations", 2, 2),
     ],
-    ids=["abs_tol-at-start", "abs_tol", "rel_decrease", "chord_confirm", "no_descent", "max_iterations"],
+    ids=["abs_tol-at-start", "abs_tol", "decrement-gauss-newton", "decrement-chord", "no_descent", "max_iterations"],
 )
-def test_update_reports_why_it_stopped(monkeypatch, build, constants, stop_reason, iterations):
+def test_update_reports_why_it_stopped(monkeypatch, build, constants, stop_reason, iterations, factorizations):
     for name, value in constants.items():
         monkeypatch.setattr(f"se2fusion.smoother.{name}", value)
     report = build().update()
     assert report.stop_reason == stop_reason
-    assert report.iterations == iterations
-    assert report.converged == (stop_reason not in ("no_descent", "max_iterations"))
+    assert (report.iterations, report.factorizations) == (iterations, factorizations)
+    assert report.converged == (stop_reason in ("abs_tol", "decrement"))
