@@ -105,7 +105,10 @@ def _from_json(key: str, value):
     if len(items) != arity or not all(_is_json_kind(x, kind) for x in items):
         what = f"a list of {arity} numbers" if arity > 1 else _JSON_KINDS[kind][1]
         raise ValidationError(f"config key {key!r} must be {what}, got {value!r}")
-    return tuple(map(float, items)) if arity > 1 else kind(value)
+    try:
+        return tuple(map(float, items)) if arity > 1 else kind(value)
+    except OverflowError:
+        raise ValidationError(f"config key {key!r} is too large for a float") from None
 
 
 def _flag_type(f):

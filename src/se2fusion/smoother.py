@@ -55,20 +55,19 @@ first step evaluated, linearized and factorized the whole graph as well.
 On default 600-frame chains full factorizations per update fell from 2.10
 to 1.10 and iterations stayed the same, at 0.84x the time; on
 100-300-frame chains, 0.88x. Only an exact extension takes the bordered
-step: a graph that additions alone built from the held graph, which its
-base shows by identity, so that the old poses and factors are the held
-graph's, with one pose more and new factors only on it and the pose
-before, in a chain's band. The first update, a branch after truncate() to
-another mark, a factor on an older pose, a wider band and sparse mode take
-the full pass, as does a bordered matrix that is not positive definite or
-a bordered step that finds no descent. The bordered factor is the first
-step's, so no confirm step uses it; it is never held for a later update
-nor cached for marginals, and the bordered step's prediction ends nothing,
-as its gradient left the old factors out.
+step: one pose added to the base graph, the factor's own, with new
+factors only on it and the pose before, in a chain's band. The first
+update, two poses at once, a factor on an older pose, a wider band and
+sparse mode take the full pass, as do a base with no full band factor, a
+bordered matrix that is not positive definite and a bordered step that
+finds no descent. The bordered factor is the first step's, so no confirm
+step uses it; it is never committed for a later update nor kept for
+marginals, and the bordered step's prediction ends nothing, as its
+gradient left the old factors out.
 
 The index pattern that scatters those entries into H and g is a function
-of the factor keys, built in one pass whenever a variable or factor is
-added. Banded mode places every entry in closed form from its factor's
+of the factor keys, built in one pass for each graph that is solved.
+Banded mode places every entry in closed form from its factor's
 keys. H is block-sparse, one dense 3x3 block per pair of keys that share a
 factor, so sparse mode sorts one key per block, not one per entry, and
 places every entry in closed form from its block's slot.
@@ -80,11 +79,12 @@ factorization to 0.55x its time with the defaults, with the same fill.
 
 The graph and the estimate are one immutable snapshot, a _Graph: adding a
 variable or a factor builds new arrays, and update() commits its working
-copy as the estimate. checkpoint() returns the snapshot, in O(1), and
-truncate() puts any mark back, earlier or later, graph and estimate alike.
-The caches keep what they were built from and compare it by identity, so
-no change has to drop them (Driscoll, Sarnak, Sleator and Tarjan, Making
-Data Structures Persistent, JCSS 1989).
+copy as the estimate. What is derived from it, the index pattern, the
+band factor and what marginal reads reuse, lives on the same _Graph, so
+no cache needs a check (Driscoll, Sarnak, Sleator and Tarjan, Making Data
+Structures Persistent, JCSS 1989). checkpoint() returns the snapshot, in
+O(1), and truncate() puts any mark back, earlier or later, graph,
+estimate and derived state alike.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -358,7 +358,7 @@ def _is_key(key, n: int) -> bool:
 
 
 class _Graph(NamedTuple):
-    """The graph and the estimate at one moment. Nothing writes into its arrays.
+    """The graph and the estimate at one moment, and what was derived from them. Nothing writes into its arrays.
 
     x holds every variable's value; pending, in key order, the keys added
     without one, which update() gives one; the first n_solved have an
@@ -368,6 +368,11 @@ class _Graph(NamedTuple):
     the from and the to keys as two rows. base is the graph that additions
     alone built this one from, the last that update() committed or the
     empty one, and None for those two.
+
+    The rest is derived, dropped by an addition and all set by update() on
+    the graph it commits: the _pattern, err at the estimate, band, its last
+    full band factor, and for marginals the estimate's residual terms or
+    their solve, which _marginal_solve puts in their place.
     """
 
     x: np.ndarray = np.zeros((0, 3))
@@ -378,10 +383,15 @@ class _Graph(NamedTuple):
     bt_keys: np.ndarray = np.zeros((2, 0), np.intp)
     bt: np.ndarray = np.zeros((0, 8))
     base: _Graph | None = None
+    pattern: dict | None = None
+    err: float | None = None
+    band: np.ndarray | None = None
+    terms: tuple | None = None
+    solve: Callable | None = None
 
     def added(self, **fields) -> _Graph:
-        """This graph with fields replaced by an addition."""
-        return self._replace(base=self if self.base is None else self.base, **fields)
+        """This graph with fields replaced by an addition, and nothing derived from it (the fields after base)."""
+        return _Graph(*self[:7], base=self if self.base is None else self.base)._replace(**fields)
 
 
 def _band_solve(cb: np.ndarray):
@@ -395,12 +405,6 @@ class Smoother:
 
     def __init__(self):
         self._graph = _Graph()
-        self._pattern_cache: dict | None = None
-        # (graph, residual terms, solve) at graph's estimate
-        self._marginal_cache: tuple = (None, None, None)
-        # (graph, band, error): the last full banded factor of the update
-        # that committed graph, and the error at its estimate
-        self._band_cache: tuple = (None, None, None)
 
     # ---- graph construction -------------------------------------------------
 
@@ -494,31 +498,29 @@ class Smoother:
     def _pattern(self) -> dict:
         """Solver mode and where each H and g entry of _linearize goes.
 
-        A function of the factor keys and the number of variables, built in
-        one pass whenever they change. _linearize emits the entries of the
-        to side, then those of the from side, each entry-major: entry i of
-        every factor, then entry i + 1. Banded mode places H entry (r, c) at
-        (max, min) of the lower band, stored column after column. Sparse
-        mode stores the full matrix in CSC form: the dense 3x3 blocks of the
-        key pairs that share a factor, sorted by col << 32 | row key. Column
-        3b + j starts after the 9 before[b] entries of the blocks left of
-        block column b and holds 3 per_col[b], so entry (i, j) of the block
-        at slot s of that order lies at 6 before[b] + 3 s + 3 per_col[b] j + i.
+        A function of the factor keys and the number of variables, built in one
+        pass unless the graph holds one, as update() commits it with its graph.
+        _linearize emits the entries of the to side, then those of the from
+        side, each entry-major: entry i of every factor, then entry i + 1.
+        Banded mode places H entry (r, c) at (max, min) of the lower band,
+        stored column after column. Sparse mode stores the full matrix in CSC
+        form: the dense 3x3 blocks of the key pairs that share a factor, sorted
+        by col << 32 | row key. Column 3b + j starts after the 9 before[b]
+        entries of the blocks left of block column b and holds 3 per_col[b], so
+        entry (i, j) of the block at slot s of that order lies at
+        6 before[b] + 3 s + 3 per_col[b] j + i.
         """
         g = self._graph
+        if g.pattern is not None:
+            return g.pattern
         dim = 3 * len(g.x)
-        p = self._pattern_cache
-        # add_factor replaces un with un_keys and bt with bt_keys, so the
-        # constants below are those of the keys the cache holds
-        if p is not None and p["un_keys"] is g.un_keys and p["bt_keys"] is g.bt_keys and p["dim"] == dim:
-            return p
         bt_from, bt_to = g.bt_keys
         max_span = int(np.abs(bt_to - bt_from).max(initial=0))
         u = min(3 * max_span + 2, max(dim - 1, 0))
         mode = "banded" if u <= _BAND_LIMIT else "sparse"
         # the key measured or the to key of each factor, then the from keys
         side_keys = (np.concatenate([g.un_keys, bt_to]), bt_from)
-        p = {"mode": mode, "u": u, "dim": dim, "un_keys": g.un_keys, "bt_keys": g.bt_keys}
+        p = {"mode": mode, "u": u, "dim": dim}
         if mode == "banded":
             # entry (i, j) of key k's diagonal block lies at 3 (u + 1) k + i u + j;
             # entry (i, j) of H_from,to at 3 (lo u + hi) + i u + j, with i and j
@@ -554,17 +556,16 @@ class Smoother:
         # every factor's constant pose with its cosine and sine, and its info,
         # in the order of the terms _evaluate gives
         p["consts"] = (np.concatenate([g.un[:, :5], g.bt[:, :5]]), np.concatenate([g.un[:, 5:], g.bt[:, 5:]]))
-        self._pattern_cache = p
         return p
 
-    def _evaluate(self, X: np.ndarray):
-        """Total error at X and the per-factor terms the linearization reuses.
+    def _evaluate(self, X: np.ndarray, pattern: dict):
+        """Total error at X and the per-factor terms the linearization reuses, given the graph's _pattern.
 
         The terms are (z, r, A, info) of every factor, the unary ones first,
         then the between factors' relative pose X_from^-1 X_to. z is the
         factor's pose error, r = log(z), A its _half_cot and info 1 / sigma^2.
         """
-        vals, info = self._pattern()["consts"]
+        vals, info = pattern["consts"]
         g = self._graph
         bt_from, bt_to = g.bt_keys
         x_from = X[bt_from]
@@ -643,7 +644,7 @@ class Smoother:
             raise GaugeError(f"normal equations are singular: {exc}") from None
         return lu.solve, None
 
-    def _line_search(self, X: np.ndarray, err: float, delta: np.ndarray):
+    def _line_search(self, X: np.ndarray, err: float, delta: np.ndarray, pattern: dict):
         """(trial, error, terms) at the first of X exp(delta), X exp(delta / 2), ... whose error is at most err.
 
         None when _MAX_STEP_HALVINGS halvings find none.
@@ -651,33 +652,33 @@ class Smoother:
         alpha = 1.0
         for _ in range(_MAX_STEP_HALVINGS + 1):
             trial = _retract(X, alpha * delta.reshape(-1, 3))
-            trial_err, trial_terms = self._evaluate(trial)
+            trial_err, trial_terms = self._evaluate(trial, pattern)
             if trial_err <= err:
                 return trial, trial_err, trial_terms
             alpha *= 0.5
         return None
 
     def _bordered_factor(self, X: np.ndarray, pattern: dict):
-        """(err, g, band) at X: the held band factor bordered by the newest pose; None where that is not exact.
+        """(err, g, band) at X: the base graph's band factor bordered by the newest pose; None where that is not exact.
 
         err is the error at X, g the new factors' gradient and band the
-        factor of H with the old factors taken where the held factor was and
-        the new ones at X. It needs a graph that additions alone built from
-        the graph the held factor was built for: one pose, and factors on it
-        and the pose before, in a chain's band. None also when the bordered
-        matrix is not positive definite.
+        factor of H with the old factors taken where the base's factor was
+        and the new ones at X. It needs a base with a band factor, and
+        additions of one pose, and factors on it and the pose before, in a
+        chain's band. None also when the bordered matrix is not positive
+        definite.
         """
-        held, band, held_err = self._band_cache
         g = self._graph
-        # additions alone keep the held graph's rows and its estimate, with
-        # every pending key a new one
-        if held is None or g.base is not held or len(g.x) != len(held.x) + 1:
+        base = g.base
+        # additions alone keep the base's rows and its estimate, with every
+        # pending key a new one
+        if base is None or base.band is None or len(g.x) != len(base.x) + 1:
             return None
-        if pattern["u"] != _CHAIN_BAND or len(band) != _CHAIN_BAND + 1:
+        if pattern["u"] != _CHAIN_BAND or len(base.band) != _CHAIN_BAND + 1:
             return None
         # the trailing block: the old last pose k and the new pose
-        k = len(held.x) - 1
-        nu, nb = len(held.un_keys), len(held.bt)
+        k = len(base.x) - 1
+        nu, nb = len(base.un_keys), len(base.bt)
         # the new factors alone, keyed from k
         un_keys = [key - k for key in g.un_keys[nu:].tolist()]
         bt_keys = [(a - k, b - k) for a, b in g.bt_keys[:, nb:].T.tolist()]
@@ -685,16 +686,16 @@ class Smoother:
             return None
         x = X[k:].tolist()
         tail_err, g_tail, h_tail = _frame_system(x, un_keys, g.un[nu:].tolist(), bt_keys, g.bt[nb:].tolist())
-        # the old factors' error at X is the held graph's, and their gradient
-        # about zero, as that graph's update converged
-        err = held_err + tail_err
+        # the old factors' error at X is the base's, and their gradient
+        # about zero, as its update converged
+        err = base.err + tail_err
         if not _ABSOLUTE_TOLERANCE < err < math.inf:
             return None
         # the old factors' part of the trailing block, whose columns before it
-        # they leave as they were: L_kk L_kk^T of the held factor's last
+        # they leave as they were: L_kk L_kk^T of the base factor's last
         # diagonal block (Golub and Van Loan, Matrix Computations, 4.3)
         l_kk = np.zeros((3, 3))
-        l_kk[_UJ, _UI] = band[_UJ - _UI, 3 * k + _UI]
+        l_kk[_UJ, _UI] = base.band[_UJ - _UI, 3 * k + _UI]
         h_tail[:3, :3] += l_kk @ l_kk.T
         l_tail, info = scipy.linalg.lapack.dpotrf(h_tail, lower=1)
         if info != 0:
@@ -704,7 +705,7 @@ class Smoother:
         g_new = np.zeros(pattern["dim"])
         g_new[3 * k :] = g_tail
         # column-major, as LAPACK stores a band
-        return err, g_new, np.concatenate([band.T[: 3 * k], cb.T]).T
+        return err, g_new, np.concatenate([base.band.T[: 3 * k], cb.T]).T
 
     def _bordered_step(self, X: np.ndarray, pattern: dict):
         """The first step from X with the _bordered_factor: (err, solve, pred, step), or None without one or a descent.
@@ -717,7 +718,7 @@ class Smoother:
         err, g, band = start
         solve = _band_solve(band)
         delta = solve(-g)
-        step = self._line_search(X, err, delta) if np.isfinite(delta).all() else None
+        step = self._line_search(X, err, delta, pattern) if np.isfinite(delta).all() else None
         if step is None:
             return None
         return err, solve, -0.5 * float(g @ delta), step
@@ -742,7 +743,7 @@ class Smoother:
         if bordered:
             err, solve, pred, step = start
         else:
-            err, terms = self._evaluate(X)
+            err, terms = self._evaluate(X, pattern)
             if not math.isfinite(err):
                 raise GaugeError(f"factor error at the start point is not finite: {err}")
             solve = step = None
@@ -767,7 +768,7 @@ class Smoother:
                         pred = -0.5 * float(g @ delta)
                         chord = math.isfinite(pred) and pred <= _CHORD_RATE * last_pred if sparse else _converges(pred, err)
                         if chord:
-                            step = self._line_search(X, err, delta)
+                            step = self._line_search(X, err, delta, pattern)
                 if step is None:
                     # a Gauss-Newton step; g is still at X, as no step was accepted since
                     chord = False
@@ -777,7 +778,7 @@ class Smoother:
                     if not np.all(np.isfinite(delta)):
                         raise GaugeError("normal equations produced a non-finite step")
                     pred = -0.5 * float(g @ delta)
-                    step = self._line_search(X, err, delta)
+                    step = self._line_search(X, err, delta, pattern)
                 # the bordered step's prediction left the old factors out
                 done = _converges(pred, err, sparse and chord) and len(history) > bordered
                 if step is None:
@@ -796,15 +797,13 @@ class Smoother:
             solve, band = self._factorize(self._linearize(terms, _jacobians(terms), pattern), pattern)
             factorizations += 1
         iterations = len(history) - 1
-        self._graph = graph = graph._replace(x=X, pending=(), n_solved=len(X), base=None)
-        # for marginals: the solve if no step moved the estimate since it
-        # was factorized, which a bordered step did, else the estimate's
-        # residual terms
-        self._marginal_cache = (graph, None, solve) if iterations == 0 else (graph, terms, None)
-        # for a later update's bordered step: only a full factor, never a
-        # bordered one; a held one stays exact for the graph it holds
-        if band is not None:
-            self._band_cache = (graph, band, err)
+        # every derived field, none inherited: band is a full factor only, and
+        # for marginals the solve only if no step, bordered or not, moved the
+        # estimate since it was factorized, else the estimate's residual terms
+        terms, solve = (None, solve) if iterations == 0 else (terms, None)
+        self._graph = graph._replace(
+            x=X, pending=(), n_solved=len(X), base=None, pattern=pattern, err=err, band=band, terms=terms, solve=solve
+        )
         return SolveReport(
             iterations=iterations,
             initial_error=history[0],
@@ -821,22 +820,19 @@ class Smoother:
 
     @np.errstate(all="ignore")
     def _marginal_solve(self):
-        """The solve of H at the estimate, cached per _Graph.
+        """The solve of H at the estimate, which the current graph then holds.
 
-        After update() the cache holds the estimate's residual terms, which
-        the first marginal read factorizes in place of evaluating them again,
-        or, when no step moved the estimate, update()'s solve itself. A cache
-        of any other _Graph than the current one goes unused.
+        update() leaves on the graph it commits the estimate's residual
+        terms, which the first marginal read factorizes in place of
+        evaluating them again, or, when no step moved the estimate, its solve.
         """
         g = self._graph
-        graph, terms, solve = self._marginal_cache
-        if graph is not g or solve is None:
-            if graph is not g:
-                terms = self._evaluate(g.x)[1]
+        if g.solve is None:
             pattern = self._pattern()
+            terms = g.terms if g.terms is not None else self._evaluate(g.x, pattern)[1]
             solve, _ = self._factorize(self._linearize(terms, _jacobians(terms), pattern), pattern)
-            self._marginal_cache = (g, None, solve)
-        return solve
+            self._graph = g = g._replace(terms=None, solve=solve)
+        return g.solve
 
     def marginal_sigma(self, key: int) -> tuple[float, float, float]:
         """Sigmas of the tangent-space marginal at the current estimate."""

@@ -471,6 +471,17 @@ def test_config_rejects_bad_types(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("config", [{"extent": [10**400, 1]}, {"mean_speed": 10**400}], ids=["extent", "mean_speed"])
+def test_config_rejects_an_integer_too_large_for_a_float(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    (key,) = config
+    assert run("pipeline", "--config", cfg, "--out-dir", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert f"error: config key {key!r} " in err and "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def _flag_text(value):
     return ",".join(map(repr, value)) if isinstance(value, tuple) else str(value)
 

@@ -240,12 +240,48 @@ def test_rejected_update_changes_nothing(anchored):
 def test_marginal_reuses_the_factorization_of_an_update_without_a_step():
     s, factors = _exact_graph(12, False)
     assert s.update().iterations == 0
-    assert s._marginal_cache[2] is not None
+    assert s._graph.solve is not None
     h, _ = dense_normal_equations(12, factors, s.estimate())
     cov = np.linalg.inv(h)
     for k in (0, 5, 11):
         want = np.sqrt(np.diag(cov)[3 * k : 3 * k + 3])
         assert np.allclose(s.marginal_sigma(k), want, atol=1e-9, rtol=1e-9)
+
+
+def test_marginals_follow_the_estimate_and_truncate_restores_them(monkeypatch):
+    # a marginal read leaves its solve on the graph; an update() of that same
+    # graph that moves the estimate must not pass the solve on
+    factors, init = _cold_start_loop_graph(120, n=20)
+    s = Smoother()
+    for k in range(len(init)):
+        s.add_variable(init[k])
+    for f in factors:
+        s.add_factor(f)
+    keys = (0, 9, 19)
+
+    def sigmas():
+        return [s.marginal_sigma(k) for k in keys]
+
+    def oracle():
+        cov = np.linalg.inv(dense_normal_equations(len(init), factors, s.estimate())[0])
+        return [np.sqrt(np.diag(cov)[3 * k : 3 * k + 3]) for k in keys]
+
+    monkeypatch.setattr("se2fusion.smoother._MAX_ITERATIONS", 1)
+    assert s.update().stop_reason == "max_iterations"
+    first = sigmas()
+    assert np.allclose(first, oracle(), atol=1e-9, rtol=1e-9)
+    mark = s.checkpoint()
+    monkeypatch.undo()
+    assert s.update().iterations > 0
+    moved = sigmas()
+    assert not np.allclose(moved, first, atol=0.0, rtol=1e-6)
+    assert np.allclose(moved, oracle(), atol=1e-9, rtol=1e-9)
+    # the mark keeps the solve of its estimate
+    calls, factorize = [], s._factorize
+    s._factorize = lambda *args: calls.append(args) or factorize(*args)
+    s.truncate(mark)
+    assert sigmas() == first
+    assert calls == []
 
 
 def test_non_convergence_reported_not_raised(monkeypatch):
@@ -387,7 +423,7 @@ def smoother_normal_equations(s):
     column i. Sparse mode returns the full matrix.
     """
     pattern = s._pattern()
-    _, terms = s._evaluate(s._graph.x)
+    _, terms = s._evaluate(s._graph.x, pattern)
     system, g = linearize(s, terms, pattern)
     if pattern["mode"] == "sparse":
         return pattern["mode"], system.toarray(), np.asarray(g)
@@ -458,9 +494,10 @@ def test_linearize_matches_factor_jacobians():
         if mode == "sparse":
             # the dense comparison above passes for any consistent order of
             # the stored entries. splu sorts a matrix out of canonical order
-            # in place, and the matrix shares its indices with the cached
+            # in place, and the matrix shares its indices with the graph's
             # pattern, so every later assembly would scatter to stale places
-            system, _ = linearize(s, s._evaluate(s._graph.x)[1], s._pattern())
+            pattern = s._pattern()
+            system, _ = linearize(s, s._evaluate(s._graph.x, pattern)[1], pattern)
             ref = _csc_reference(3 * n, factors)
             assert np.array_equal(system.indptr, ref.indptr)
             assert np.array_equal(system.indices, ref.indices)
@@ -666,7 +703,7 @@ def _scratch_normal_equations(s, factors):
     for f in factors:
         fresh.add_factor(f)
     pattern = fresh._pattern()
-    return pattern, linearize(fresh, fresh._evaluate(fresh._graph.x)[1], pattern)
+    return pattern, linearize(fresh, fresh._evaluate(fresh._graph.x, pattern)[1], pattern)
 
 
 def test_incremental_pattern_matches_one_built_from_scratch():
@@ -707,7 +744,7 @@ def test_incremental_pattern_matches_one_built_from_scratch():
         stage()
         pattern = s._pattern()
         assert pattern["mode"] == mode
-        system, g = linearize(s, s._evaluate(s._graph.x)[1], pattern)
+        system, g = linearize(s, s._evaluate(s._graph.x, pattern)[1], pattern)
         want_pattern, (want_system, want_g) = _scratch_normal_equations(s, factors)
         assert np.array_equal(g, want_g)
         if mode == "banded":
@@ -864,7 +901,7 @@ def _gauss_newton_history(s):
     A step converges when its predicted decrease -g^T delta / 2 is at most
     _RELATIVE_TOLERANCE times the error at its start: the solve ends after
     it, or at its start when its line search finds no decrease. The first
-    step may take s's held factor bordered by the new pose, when
+    step may take the base graph's factor bordered by the new pose, when
     s._bordered_step gives one; its prediction ends nothing, as its gradient
     is the new factors'. Every other step factorizes H, but from the third
     point on the factor of the step before, back-solved at the new point,
@@ -880,7 +917,7 @@ def _gauss_newton_history(s):
     if bordered:
         err, _, _, step = start
     else:
-        err, terms = s._evaluate(x)
+        err, terms = s._evaluate(x, pattern)
         step = None
     history = [err]
     factorizations = 0
@@ -896,14 +933,14 @@ def _gauss_newton_history(s):
                 delta = solve(-g)
                 pred = -0.5 * float(g @ delta)
                 converges = math.isfinite(pred) and pred <= _RELATIVE_TOLERANCE * err
-                step = s._line_search(x, err, delta) if converges else None
+                step = s._line_search(x, err, delta, pattern) if converges else None
             if step is None:
                 solve, _ = s._factorize(s._linearize(terms, jac, pattern), pattern)
                 factorizations += 1
                 delta = solve(-g)
                 pred = -0.5 * float(g @ delta)
                 converges = math.isfinite(pred) and pred <= _RELATIVE_TOLERANCE * err
-                step = s._line_search(x, err, delta)
+                step = s._line_search(x, err, delta, pattern)
                 if step is None:
                     return history, "decrement" if converges else "no_descent", bordered, factorizations
         x, err, terms = step
@@ -967,16 +1004,17 @@ def test_bordered_factor_matches_a_full_factorization(seed):
     s = _default_driver(sim, 300).smoother
     # hold a factor of H at the estimate, where the appended frame leaves
     # the old poses, so that H at the start point is the bordered matrix
-    held_err, terms = s._evaluate(s._graph.x)
-    system, g_held = linearize(s, terms, s._pattern())
-    s._band_cache = (s._graph, s._factorize(system, s._pattern())[1], held_err)
+    pattern = s._pattern()
+    held_err, terms = s._evaluate(s._graph.x, pattern)
+    system, g_held = linearize(s, terms, pattern)
+    s._graph = s._graph._replace(band=s._factorize(system, pattern)[1], err=held_err)
     _add_frame(s, sim.measurements[300][1])
     pattern = s._pattern()
     x = s._graph.x.copy()
     s._activate_pending(x)
     err, g, band = s._bordered_factor(x, pattern)
 
-    want_err, terms = s._evaluate(x)
+    want_err, terms = s._evaluate(x, pattern)
     system, want_g = linearize(s, terms, pattern)
     _, want_band = s._factorize(system, pattern)
     assert band.shape == want_band.shape
@@ -1010,7 +1048,7 @@ def _first_update(s):
 
 
 def _branch(s):
-    # a frame solved, then dropped for two others: as many poses as the held graph and one more
+    # a frame solved, then dropped for two others: as many poses as the mark and one more
     mark = s.checkpoint()
     _add_frame(s, Pose2(20, 1, 0))
     assert s.update().bordered
@@ -1077,6 +1115,23 @@ def test_bordered_step_without_descent_falls_back_to_a_full_pass():
     assert s.estimate() == twin.estimate()
 
 
+def test_a_frame_after_truncate_borders_the_factor_of_the_mark():
+    # the mark holds the band factor its own update left, which two later
+    # frames do not touch
+    s, twin = _chain(20), _chain(20)
+    mark = s.checkpoint()
+    for x in (20, 21):
+        _add_frame(s, Pose2(x, 1, 0))
+        assert s.update().bordered
+    s.truncate(mark)
+    for sm in (s, twin):
+        _add_frame(sm, Pose2(20, -1, 0))
+    report, want = s.update(), twin.update()
+    assert report.bordered
+    assert report == replace(want, duration_ms=report.duration_ms)
+    assert s.estimate() == twin.estimate()
+
+
 def test_a_bordered_step_does_not_end_the_solve():
     # a frame whose odometry and fix agree with the estimate: the bordered
     # step predicts about no decrease, but its gradient is the new factors'
@@ -1131,7 +1186,7 @@ def test_a_small_actual_decrease_does_not_end_the_solve():
     # third step left 3.3e-5
     s = driver.smoother
     pattern = s._pattern()
-    terms = s._evaluate(s._graph.x)[1]
+    terms = s._evaluate(s._graph.x, pattern)[1]
     jac = _jacobians(terms)
     solve, _ = s._factorize(s._linearize(terms, jac, pattern), pattern)
     assert np.abs(solve(-s._gradient(terms, jac, pattern))).max() < 1e-5

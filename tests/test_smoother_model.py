@@ -1,10 +1,11 @@
-"""Stateful model test of Smoother: a rejected call changes nothing, and every mutation invalidates every cache.
+"""Stateful model test of Smoother: a rejected call changes nothing, and no derived state outlives a mutation.
 
 Hypothesis runs add_variable, add_factor, update, checkpoint/truncate and
 marginal_sigma in any order. The machine keeps the variables and factors the
 smoother holds, and checks five things:
-- a call that raises leaves the graph, the estimate, the pending keys, the
-  marginal cache and the held band factor as they were, byte for byte;
+- a call that raises leaves the smoother's _Graph the same object, which
+  holds what was derived from it, and its graph, estimate and pending keys
+  as they were, byte for byte;
 - every mark held keeps the state of its checkpoint, byte for byte, and
   truncate() to any of them, older or newer than the state it replaces,
   gives that state back;
@@ -12,10 +13,10 @@ smoother holds, and checks five things:
   fails, and after a successful one the estimate matches that solve to
   1e-6, as criterion 3 asks;
 - an update() whose first step was bordered starts from a graph that
-  appends one pose, and factors on it and the pose before, to the graph of
-  the last banded update that factorized, with that graph's poses still
-  where its update left them; later steps would correct the first step of
-  a stale factor, so only this shows one;
+  appends one pose, and factors on it and the pose before, to its base,
+  which a banded update that factorized committed, with the base's poses
+  still where that update left them; later steps would correct the first
+  step of a stale factor, so only this shows one;
 - marginal_sigma matches sqrt(diag(H^-1)) of the dense normal equations of
   test_smoother.py at the estimate, for a key drawn by a rule, and for the
   newest key after every rule that changed the graph or the estimate.
@@ -83,18 +84,16 @@ class SmootherModel(RuleBasedStateMachine):
         # counts the calls that changed the graph or the estimate, and its value at the last marginal check
         self.changes = 0
         self.checked = -1
-        # the graph the last banded update that factorized committed
-        self.held = None
+        # the state of every graph that a banded update which factorized committed
+        self.factorized: set = set()
 
     def rejected(self, call, *errors) -> bool:
         """Whether call raised one of errors; if it did, it changed nothing."""
         before, graph = state(self.s._graph), self.s._graph
-        cache, band = self.s._marginal_cache, self.s._band_cache
         try:
             call()
         except errors:
-            assert state(self.s._graph) == before
-            assert self.s._graph is graph and self.s._marginal_cache is cache and self.s._band_cache is band
+            assert self.s._graph is graph and state(self.s._graph) == before
             return True
         return False
 
@@ -229,10 +228,11 @@ class SmootherModel(RuleBasedStateMachine):
         assert max(pose_diff(got[k], want[k]) for k in got) < 1e-6
         report = reports[0]
         if report.bordered:
-            # one pose more than the held graph, whose factors come first,
-            # the new ones on its last pose and the new one, and its poses
-            # still where its update left them
-            held = self.held
+            # one pose more than the base, whose factors come first, the new
+            # ones on its last pose and the new one, and its poses still
+            # where its update left them
+            held = start.base
+            assert state(held) in self.factorized
             n, nu, nb = len(held.x), len(held.un_keys), len(held.bt)
             assert len(x0) == n + 1 and np.array_equal(x0[:n], held.x)
             for name in ("un_keys", "un", "bt"):
@@ -240,7 +240,7 @@ class SmootherModel(RuleBasedStateMachine):
             assert np.array_equal(start.bt_keys[:, :nb], held.bt_keys)
             assert min(start.un_keys[nu:].min(initial=n), start.bt_keys[:, nb:].min(initial=n)) >= n - 1
         if report.mode == "banded" and report.factorizations:
-            self.held = self.s._graph
+            self.factorized.add(state(self.s._graph))
         return True
 
     @rule()
@@ -275,9 +275,9 @@ class SmootherModel(RuleBasedStateMachine):
 
     @invariant()
     def marginal_of_the_newest_key(self):
-        # after each rule that changed something, which a stale cache would
-        # outlive; add_frames reads none between a rejected frame and the
-        # next, which would rebuild a stale pattern
+        # after each rule that changed something, which stale derived state
+        # would outlive; add_frames reads none between a rejected frame and
+        # the next, which would rebuild a stale pattern
         if self.changes != self.checked:
             self.checked = self.changes
             self.check_marginal(len(self.guesses) - 1)
