@@ -95,12 +95,15 @@ def _read_rows(path, expected_fields: int):
 
 
 def _parse_floats(lineno: int, fields) -> list[float]:
+    """The fields as floats; FormatError for one that is not a finite number."""
     out = []
     for raw in fields:
         try:
             out.append(float(raw))
         except ValueError:
             raise FormatError(lineno, f"not a number: {raw!r}") from None
+        if not math.isfinite(out[-1]):
+            raise FormatError(lineno, f"not finite: {raw!r}")
     return out
 
 
@@ -114,10 +117,7 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
             saw_header = True
             continue
         ts, x, y, theta = _parse_floats(lineno, row)
-        try:
-            records.append((ts, Pose2(x, y, theta)))
-        except ValueError as exc:
-            raise FormatError(lineno, str(exc)) from None
+        records.append((ts, Pose2(x, y, theta)))
     return TrajectoryRecord(tuple(records))
 
 
@@ -144,10 +144,7 @@ def read_odometry_csv(path) -> list[OdometrySample]:
     for lineno, (ts, a, b, c) in rows:
         if prev_ts is not None and ts < prev_ts:
             raise ValidationError(f"line {lineno}: odometry timestamps decrease: {ts} after {prev_ts}")
-        try:
-            pose = Pose2(a, b, c)
-        except ValueError as exc:
-            raise FormatError(lineno, str(exc)) from None
+        pose = Pose2(a, b, c)
         if header == ODOMETRY_DELTA_HEADER:
             samples.append(OdometrySample(timestamp=ts, delta=pose))
         else:

@@ -6,25 +6,33 @@ zero and angle wrap is handled by the group operations. Jacobians are taken
 with respect to right perturbations X * exp(delta) of each involved pose
 (Sola et al., "A micro Lie theory for state estimation in robotics", 2018).
 
-The derivative of the log is implemented once, vectorized over factors:
-_half_cot, _v_dlog and _v_chain_from. The smoother linearizes the whole
-graph with them, and each factor's jacobians() runs them on one-row arrays.
-residual() stays scalar, on geometry.py's group operations; central finite
-differences of it are the independent reference these Jacobians are tested
-against.
+The derivative of the log has two implementations, both with the series
+branch below SERIES_ANGLE. _row_terms computes one factor row in Python
+floats: every factor's jacobians() and the smoother's bordered first step
+run it. _half_cot, _v_dlog and _v_chain_from compute it vectorized over
+factors, for the smoother's full passes. residual() stays on geometry.py's
+group operations: central finite differences of it test _row_terms
+(criterion 4 and test_factors.py), and the smoother's assembled normal
+equations are tested against those built from jacobians()
+(test_linearize_matches_factor_jacobians).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
 
-from .geometry import Pose2, Twist2
+from .geometry import Pose2, Twist2, normalize_angle
 from .noise import DiagonalNoise
 
 VariableKey = int
+
+# Below this rotation magnitude log's A and the derivative of the log take
+# their Taylor forms, to avoid 0/0.
+SERIES_ANGLE = 1e-4
 
 
 def _lookup(values: Mapping[int, Pose2], key: int) -> Pose2:
@@ -36,7 +44,7 @@ def _lookup(values: Mapping[int, Pose2], key: int) -> Pose2:
 
 def _half_cot(th: np.ndarray) -> np.ndarray:
     """A = (th/2) cot(th/2); log's translation is [[A, th/2], [-th/2, A]] t."""
-    small = np.abs(th) < 1e-4
+    small = np.abs(th) < SERIES_ANGLE
     safe = np.where(small, 1.0, 0.5 * th)
     return np.where(small, 1.0 - th * th / 12.0, safe / np.tan(safe))
 
@@ -50,7 +58,7 @@ def _v_dlog(z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """
     th = z[:, 2]
     half = 0.5 * th
-    small = np.abs(th) < 1e-4
+    small = np.abs(th) < SERIES_ANGLE
     da = np.where(small, -th / 6.0, (a * (1.0 - a) - half * half) / np.where(small, 1.0, th))
     return a, -half, da * z[:, 0] + 0.5 * z[:, 1], da * z[:, 1] - 0.5 * z[:, 0]
 
@@ -66,16 +74,48 @@ def _v_chain_from(jt: tuple, actual: np.ndarray) -> tuple:
     return p * c - q * s, p * s + q * c, p * iy - q * ix + e, f - q * iy - p * ix
 
 
-def _dlog(z: Pose2) -> tuple:
-    """_v_dlog of the single pose error z."""
-    zs = np.array([z.as_tuple()])
-    return _v_dlog(zs, _half_cot(zs[:, 2]))
+def _const(pose: Pose2) -> tuple:
+    """(x, y, theta, cos theta, sin theta) of a factor's constant pose, as the smoother stores it."""
+    # np.cos of one value equals the vectorized result bit for bit
+    return pose.as_tuple() + (np.cos(pose.theta), np.sin(pose.theta))
 
 
-def _matrix(j: tuple) -> np.ndarray:
-    """The 3x3 Jacobian that the one-row (p, q, e, f) stands for."""
-    p, q, e, f = (float(v[0]) for v in j)
-    return np.array([[p, q, e], [-q, p, f], [0.0, 0.0, 1.0]])
+def _row_terms(const: tuple, pose, from_pose=None) -> tuple:
+    """r = log(z), J and, for a between factor, J_from of one factor row, in Python floats.
+
+    const is the row's _const; pose the (x, y, theta) of the key measured or
+    the to key, and from_pose that of a between factor's from key. z is
+    const^-1 pose, or const^-1 from_pose^-1 pose. J and J_from are given as
+    (p, q, e, f): J = [[p, q, e], [-q, p, f], [0, 0, 1]], and J_from the same
+    with -1 in the corner. The scalar form of _v_dlog and _v_chain_from.
+    """
+    ax, ay, at = pose
+    if from_pose is not None:
+        fx, fy, ft = from_pose
+        c, s = math.cos(ft), math.sin(ft)
+        dx, dy = ax - fx, ay - fy
+        ax, ay, at = c * dx + s * dy, c * dy - s * dx, normalize_angle(at - ft)
+    mx, my, mt, c, s = const
+    dx, dy = ax - mx, ay - my
+    z0, z1, z2 = c * dx + s * dy, c * dy - s * dx, normalize_angle(at - mt)
+    half = 0.5 * z2
+    small = abs(z2) < SERIES_ANGLE
+    a = 1.0 - z2 * z2 / 12.0 if small else half / math.tan(half)
+    da = -z2 / 6.0 if small else (a * (1.0 - a) - half * half) / z2
+    r = (a * z0 + half * z1, a * z1 - half * z0, z2)
+    p, q, e, f = a, -half, da * z0 + 0.5 * z1, da * z1 - 0.5 * z0
+    if from_pose is None:
+        return r, (p, q, e, f), None
+    # the negative of _v_chain_from's
+    c, s = math.cos(at), math.sin(at)
+    ix, iy = -(c * ax + s * ay), s * ax - c * ay
+    return r, (p, q, e, f), (q * s - p * c, -(p * s + q * c), q * ix - p * iy - e, q * iy + p * ix - f)
+
+
+def _matrix(j: tuple, corner: float = 1.0) -> np.ndarray:
+    """The 3x3 Jacobian that (p, q, e, f) stands for."""
+    p, q, e, f = j
+    return np.array([[p, q, e], [-q, p, f], [0.0, 0.0, corner]])
 
 
 @dataclass(frozen=True)
@@ -93,7 +133,7 @@ class PriorFactor:
         return self.prior.between(_lookup(values, self.key)).log()
 
     def jacobians(self, values: Mapping[int, Pose2]) -> dict[VariableKey, np.ndarray]:
-        return {self.key: _matrix(_dlog(self.prior.between(_lookup(values, self.key))))}
+        return {self.key: _matrix(_row_terms(_const(self.prior), _lookup(values, self.key).as_tuple())[1])}
 
 
 @dataclass(frozen=True)
@@ -111,7 +151,7 @@ class MeasurementFactor:
         return self.measured.between(_lookup(values, self.key)).log()
 
     def jacobians(self, values: Mapping[int, Pose2]) -> dict[VariableKey, np.ndarray]:
-        return {self.key: _matrix(_dlog(self.measured.between(_lookup(values, self.key))))}
+        return {self.key: _matrix(_row_terms(_const(self.measured), _lookup(values, self.key).as_tuple())[1])}
 
 
 @dataclass(frozen=True)
@@ -135,10 +175,9 @@ class BetweenFactor:
         return self.relative.between(actual).log()
 
     def jacobians(self, values: Mapping[int, Pose2]) -> dict[VariableKey, np.ndarray]:
-        actual = _lookup(values, self.key_from).between(_lookup(values, self.key_to))
-        jt = _dlog(self.relative.between(actual))
-        jf = _v_chain_from(jt, np.array([actual.as_tuple()]))
-        return {self.key_to: _matrix(jt), self.key_from: -_matrix(jf)}
+        x_from, x_to = (_lookup(values, k).as_tuple() for k in self.keys())
+        _, j, j_from = _row_terms(_const(self.relative), x_to, x_from)
+        return {self.key_to: _matrix(j), self.key_from: _matrix(j_from, -1.0)}
 
 
 Factor = Union[PriorFactor, MeasurementFactor, BetweenFactor]

@@ -3,88 +3,34 @@
 update() runs damped Gauss-Newton on the full graph, warm-started from the
 current estimate, so after every update the result matches a from-scratch
 batch solve of the same factors. Linearization is vectorized over factors,
-with the Jacobian kernels of factors.py. Every factor Jacobian has a
-scaled-rotation translation block, so each normal-equation entry is a short
-closed form on per-factor arrays. The whitened normal equations are solved
-with a banded Cholesky when every between factor joins nearby keys (the
-streaming chain case), falling back to a sparse symmetric-mode LU for
-general graphs.
+with factors.py's kernels; every factor Jacobian has a scaled-rotation
+translation block, so each normal-equation entry is a short closed form. The
+index pattern that scatters the entries into H and g is a function of the
+factor keys. H is solved with a banded Cholesky when every between factor
+joins nearby keys, the streaming chain, and with a sparse symmetric-mode LU
+otherwise, whose relax=1 and panel_size=1 cost less at pose-graph sizes.
 
-In sparse mode the factorization dominates the solve, so update() keeps its
-factor across steps. After each accepted step it assembles only g at the new
-point and back-solves with the factor it has: a chord, or simplified-Newton,
-step (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
-ch. 5). It takes the chord step while its predicted decrease -g^T delta / 2
-is at most _CHORD_RATE (0.1) times that of the step before, and factorizes H
-afresh when the prediction stalls or the chord step's line search fails.
-Chord steps converge only linearly, so one ends the solve only when it
-predicts _CHORD_STOP (1e-2) times less than the test asks of a
-Gauss-Newton step.
-
-Banded mode takes a chord step only to confirm convergence. After an
-accepted step it back-solves g at the new point with the factor it has,
-unless that factor is the first step's. When the step's prediction passes
-the test and its line search finds no higher error, that step ends the
-solve. Otherwise it factorizes H at that point. The first step's factor is
-left out because H there, before the new pose and fix have moved the
-chain, is the furthest from H at the optimum: over 19200 default frames,
-confirm steps with it left Newton steps of up to 3.4e-4 at the estimate,
-where plain Gauss-Newton left at most 1.0e-4. On default 600-frame chains
-the confirm step saved one factorization of the 3.1 per update, with the
-iterations unchanged. Banded mode takes no further chord steps: its factor
-is cheap (about 60 us at 900 unknowns, against about 1 ms for SuperLU),
-and on the near-rigid chains it serves, chord steps converge so slowly
-that 600-frame sessions took 4.9 steps per update in place of 3.1, and
-1.29x the time.
+Sparse mode keeps its factor across steps and takes chord, or
+simplified-Newton, steps (Kelley, Iterative Methods for Linear and Nonlinear
+Equations, 1995, ch. 5) while their predicted decrease falls geometrically,
+as its factorization dominates the solve. Banded mode's factor is cheap, so
+it takes a chord step only to confirm convergence, never with the first
+step's factor, which is the furthest from H at the optimum.
 
 A chain frame, one pose appended with odometry from the pose before and a
 fix, changes only the last rows of the banded factor (Kaess, Ranganathan
-and Dellaert, iSAM, IEEE T-RO 2008). So each update holds its last full
-banded factor with the graph it commits, and the next update takes its
-first step with that factor bordered by the new pose (Golub and Van Loan,
-Matrix Computations, 4.3): the columns before the old last pose stay, and
-the last six, those of the old last pose and the new one, come from one
-6x6 Cholesky of L_kk L_kk^T, the old factors' part of that block, plus the
-new factors' H. The step's gradient is the new factors' alone, and its
-start error the held graph's final error plus theirs: the old poses sit
-where that graph's update left them, converged, and the old factors' H is
-taken where the held factor was, a step or two before. The new factors'
-terms are computed in Python floats by _frame_system, so the step costs no
-pass over the graph but its back-solve and line search, where the full
-first step evaluated, linearized and factorized the whole graph as well.
-On default 600-frame chains full factorizations per update fell from 2.10
-to 1.10 and iterations stayed the same, at 0.84x the time; on
-100-300-frame chains, 0.88x. Only an exact extension takes the bordered
-step: one pose added to the base graph, the factor's own, with new
-factors only on it and the pose before, in a chain's band. The first
-update, two poses at once, a factor on an older pose, a wider band and
-sparse mode take the full pass, as do a base with no full band factor, a
-bordered matrix that is not positive definite and a bordered step that
-finds no descent. The bordered factor is the first step's, so no confirm
-step uses it; it is never committed for a later update nor kept for
-marginals, and the bordered step's prediction ends nothing, as its
-gradient left the old factors out.
+and Dellaert, iSAM, IEEE T-RO 2008). So the next update takes its first
+step with the last full band factor bordered by the new pose (Golub and Van
+Loan, Matrix Computations, 4.3): a 6x6 Cholesky of the old factors' part of
+the trailing block plus the new factors' H, which _frame_system computes in
+Python floats with factors.py's _row_terms. Any other change of the graph,
+or a bordered step that fails, takes the full first step.
 
-The index pattern that scatters those entries into H and g is a function
-of the factor keys, built in one pass for each graph that is solved.
-Banded mode places every entry in closed form from its factor's
-keys. H is block-sparse, one dense 3x3 block per pair of keys that share a
-factor, so sparse mode sorts one key per block, not one per entry, and
-places every entry in closed form from its block's slot.
-
-SuperLU runs with relax=1 and panel_size=1: at pose-graph sizes, a few
-hundred to a few thousand unknowns, supernode relaxation and wide panels
-cost more than they save. On a 900-unknown loop graph that cut the
-factorization to 0.55x its time with the defaults, with the same fill.
-
-The graph and the estimate are one immutable snapshot, a _Graph: adding a
-variable or a factor builds new arrays, and update() commits its working
-copy as the estimate. What is derived from it, the index pattern, the
-band factor and what marginal reads reuse, lives on the same _Graph, so
-no cache needs a check (Driscoll, Sarnak, Sleator and Tarjan, Making Data
-Structures Persistent, JCSS 1989). checkpoint() returns the snapshot, in
-O(1), and truncate() puts any mark back, earlier or later, graph,
-estimate and derived state alike.
+The graph and the estimate are one immutable snapshot, a _Graph, and what
+is derived from it, the index pattern, the band factor and what marginal
+reads reuse, lives on the same _Graph, so no cache needs a check (Driscoll,
+Sarnak, Sleator and Tarjan, Making Data Structures Persistent, JCSS 1989).
+checkpoint() returns the snapshot in O(1), and truncate() puts any mark back.
 """
 
 from __future__ import annotations
@@ -100,8 +46,18 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ValidationError
-from .factors import BetweenFactor, Factor, MeasurementFactor, PriorFactor, _half_cot, _v_chain_from, _v_dlog
-from .geometry import SMALL_ANGLE, Pose2, normalize_angle
+from .factors import (
+    BetweenFactor,
+    Factor,
+    MeasurementFactor,
+    PriorFactor,
+    _const,
+    _half_cot,
+    _row_terms,
+    _v_chain_from,
+    _v_dlog,
+)
+from .geometry import SMALL_ANGLE, Pose2
 
 _TWO_PI = 2.0 * np.pi
 
@@ -308,45 +264,26 @@ def _jacobians(terms) -> tuple:
 def _frame_system(x: list, un_keys: list, un: list, bt_keys: list, bt: list):
     """Error, g and the dense H of a few factors on the poses x, in Python floats.
 
-    The scalar form of _evaluate, _jacobians, _gradient and _linearize, with
-    the same small-angle forms, for the two or so factors of one new frame:
-    on arrays that short, numpy's cost per call would outweigh the
-    arithmetic several times over. Keys index x, whose rows are poses.
+    The scalar form of _evaluate, _jacobians, _gradient and _linearize, on
+    factors.py's _row_terms, for the two or so factors of one new frame: on
+    arrays that short, numpy's cost per call would outweigh the arithmetic
+    several times over. Keys index x, whose rows are poses.
     """
-    # each factor's keys, constant row and the pose its error compares: the
-    # key's pose, or a between factor's X_from^-1 X_to, with the to key first
-    factors = [((k,), row, x[k]) for k, row in zip(un_keys, un)]
-    for (a, b), row in zip(bt_keys, bt):
-        c, s = math.cos(x[a][2]), math.sin(x[a][2])
-        dx, dy = x[b][0] - x[a][0], x[b][1] - x[a][1]
-        factors.append(((b, a), row, (c * dx + s * dy, c * dy - s * dx, normalize_angle(x[b][2] - x[a][2]))))
-
-    def put(rows, k, p, q, e, f, one):
-        # the 3x3 J [[p, q, e], [-q, p, f], [0, 0, one]] of key k
-        rows[0][3 * k : 3 * k + 3] = p, q, e
-        rows[1][3 * k : 3 * k + 3] = -q, p, f
-        rows[2][3 * k + 2] = one
-
+    # each factor's row, J's keys, and the poses _row_terms compares
+    factors = [(row, (k,), x[k], None) for k, row in zip(un_keys, un)]
+    factors += [(row, (b, a), x[b], x[a]) for (a, b), row in zip(bt_keys, bt)]
     jac, res, info = [], [], []
-    for keys, (mx, my, mt, c, s, *w), (ax, ay, at) in factors:
-        dx, dy = ax - mx, ay - my
-        z0, z1, z2 = c * dx + s * dy, c * dy - s * dx, normalize_angle(at - mt)
-        half = 0.5 * z2
-        small = abs(z2) < 1e-4
-        a = 1.0 - z2 * z2 / 12.0 if small else half / math.tan(half)
-        da = -z2 / 6.0 if small else (a * (1.0 - a) - half * half) / z2
-        res += [a * z0 + half * z1, a * z1 - half * z0, z2]
-        info += w
+    for row, keys, pose, from_pose in factors:
+        r, *js = _row_terms(row[:5], pose, from_pose)
+        res += r
+        info += row[5:]
         rows = [[0.0] * (3 * len(x)) for _ in range(3)]
         jac += rows
-        # dlog(z), the J of the key measured or the to key
-        p, q, e, f = a, -half, da * z0 + 0.5 * z1, da * z1 - 0.5 * z0
-        put(rows, keys[0], p, q, e, f, 1.0)
-        if len(keys) == 2:
-            # J_from, the negative of _v_chain_from's
-            c, s = math.cos(at), math.sin(at)
-            ix, iy = -(c * ax + s * ay), s * ax - c * ay
-            put(rows, keys[1], q * s - p * c, -(p * s + q * c), q * ix - p * iy - e, q * iy + p * ix - f, -1.0)
+        # J of the key measured or the to key, then J_from
+        for k, (p, q, e, f), corner in zip(keys, js, (1.0, -1.0)):
+            rows[0][3 * k : 3 * k + 3] = p, q, e
+            rows[1][3 * k : 3 * k + 3] = -q, p, f
+            rows[2][3 * k + 2] = corner
     j, r, w = np.array(jac).reshape(len(res), 3 * len(x)), np.array(res), np.array(info)
     jw = j.T * w
     return 0.5 * float(np.dot(r * r, w)), jw @ r, jw @ j
@@ -438,8 +375,7 @@ class Smoother:
             value = factor.relative
         else:
             raise TypeError(f"unsupported factor type {type(factor).__name__}")
-        # np.cos of one value equals the vectorized result bit for bit
-        row = [value.as_tuple() + (np.cos(value.theta), np.sin(value.theta)) + info]
+        row = [_const(value) + info]
         keys = np.array(factor.keys(), np.intp)
         if isinstance(factor, BetweenFactor):
             self._graph = g.added(bt_keys=np.column_stack([g.bt_keys, keys]), bt=np.concatenate([g.bt, row]))

@@ -79,6 +79,22 @@ def test_non_finite_pose_reports_line(tmp_path):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_timestamp_reports_line(tmp_path, bad):
+    p = tmp_path / "ts.csv"
+    for header in ("timestamp,x,y,theta", "timestamp,dx,dy,dtheta"):
+        # on the first data row, where no earlier timestamp compares with it,
+        # and on a later one
+        for rows, line in (([f"{bad},0,0,0", "0.1,1,0,0"], 2), (["0,0,0,0", "0.1,1,0,0", f"{bad},2,0,0"], 4)):
+            p.write_text("\n".join([header] + rows) + "\n")
+            readers = [read_odometry_csv] + ([read_trajectory_csv] if header == "timestamp,x,y,theta" else [])
+            for read in readers:
+                with pytest.raises(FormatError) as exc:
+                    read(p)
+                assert exc.value.line == line
+                assert bad in str(exc.value)
+
+
 def test_decreasing_timestamps_rejected(tmp_path):
     p = tmp_path / "dec.csv"
     p.write_text("timestamp,x,y,theta\n0.2,0,0,0\n0.1,1,0,0\n")

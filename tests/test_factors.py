@@ -13,6 +13,7 @@ from se2fusion import (
     PriorFactor,
     Smoother,
 )
+from se2fusion.factors import SERIES_ANGLE, _half_cot, _row_terms, _v_dlog
 from support import jacobian_rel_error, make_rng, random_pose
 
 UNIT = DiagonalNoise(1.0, 1.0, 1.0)
@@ -92,9 +93,9 @@ def test_between_rejects_self_edge():
 
 
 def test_jacobians_match_finite_differences_in_the_series_branch():
-    # factor errors whose rotation falls in _v_dlog's |theta| < 1e-4 series
-    # branch, which random poses almost never reach, with long translations
-    # so that an error in the series' coefficient shows
+    # factor errors whose rotation falls in _row_terms's |theta| < SERIES_ANGLE
+    # series branch, which random poses almost never reach, with long
+    # translations so that an error in the series' coefficient shows
     rng = make_rng(54)
     worst = 0.0
     for theta in (9e-5, 5e-5, 1e-5, -1e-5, -5e-5, -9e-5):
@@ -112,6 +113,23 @@ def test_jacobians_match_finite_differences_in_the_series_branch():
                 assert abs(abs(factor.residual(values).omega) - abs(theta)) < 1e-9
                 worst = max(worst, jacobian_rel_error(factor, values))
     assert worst <= 1e-8
+
+
+def test_scalar_and_vectorized_dlog_agree_around_the_series_bound():
+    # the scalar kernel, which jacobians() and the bordered step run, against
+    # the vectorized one of full passes, for rotations on both sides of
+    # SERIES_ANGLE: a kernel whose series bound differs from the other's
+    # takes the closed form where it cancels, and misses by 1e-11 or more
+    rng = make_rng(55)
+    magnitudes = np.concatenate([np.geomspace(1e-6, 1e-3, 150), SERIES_ANGLE * np.array([0.999, 1.0, 1.001])])
+    worst = 0.0
+    for theta in np.concatenate([magnitudes, -magnitudes]):
+        z = np.array([[*rng.uniform(-100.0, 100.0, size=2), theta]])
+        # the identity as the constant pose leaves z as the factor error
+        _, got, _ = _row_terms((0.0, 0.0, 0.0, 1.0, 0.0), z[0].tolist())
+        want = np.array(_v_dlog(z, _half_cot(z[:, 2]))).ravel()
+        worst = max(worst, float(np.max(np.abs(np.array(got) - want)) / np.max(np.abs(want))))
+    assert worst <= 1e-13
 
 
 def test_total_error_examples():

@@ -32,6 +32,7 @@ from se2fusion.smoother import (
     _MAX_ITERATIONS,
     _RELATIVE_TOLERANCE,
     _TO_ENTRIES,
+    _frame_system,
     _jacobians,
 )
 from support import make_rng, pose_diff, random_pose
@@ -1023,6 +1024,43 @@ def test_bordered_factor_matches_a_full_factorization(seed):
     # g is that of the new factors alone: H's gradient less the held graph's
     want_g[: len(g_held)] -= g_held
     assert np.max(np.abs(g - want_g)) <= 1e-9 * np.max(np.abs(want_g))
+
+
+def test_frame_system_matches_dense_normal_equations():
+    # a frame's two poses, a fix on each and odometry between them, forward or
+    # backward, with every factor error's rotation in the series branch
+    rng = make_rng(97)
+
+    def noise():
+        return DiagonalNoise(*rng.uniform(0.05, 3.0, 3))
+
+    worst = 0.0
+    for theta in (3e-5, -3e-5, 5e-5, -5e-5):
+        for a, b in ((0, 1), (1, 0)):
+            for _ in range(25):
+                x = [random_pose(rng), random_pose(rng)]
+                errors = [Pose2(*rng.uniform(-10.0, 10.0, size=2), theta).inverse() for _ in range(3)]
+                factors = [MeasurementFactor(k, x[k].compose(errors[k]), noise()) for k in (0, 1)]
+                factors.append(BetweenFactor(a, b, x[a].between(x[b]).compose(errors[2]), noise()))
+                # the rows the smoother stores, as the bordered step reads them
+                s = Smoother()
+                for pose in x:
+                    s.add_variable(pose)
+                for f in factors:
+                    s.add_factor(f)
+                gr = s._graph
+                bt_keys = [tuple(k) for k in gr.bt_keys.T.tolist()]
+                err, g, h = _frame_system(gr.x.tolist(), gr.un_keys.tolist(), gr.un.tolist(), bt_keys, gr.bt.tolist())
+                values = dict(enumerate(x))
+                want_h, want_g = dense_normal_equations(2, factors, values)
+                want_err = 0.5 * sum(f.noise.mahalanobis_sq(f.residual(values)) for f in factors)
+                worst = max(
+                    worst,
+                    abs(err - want_err) / want_err,
+                    np.max(np.abs(g - want_g)) / np.max(np.abs(want_g)),
+                    np.max(np.abs(h - want_h)) / np.max(np.abs(want_h)),
+                )
+    assert worst <= 1e-12
 
 
 def _refuse_first_line_search(s):
