@@ -149,7 +149,11 @@ def read_odometry_csv(path) -> list[OdometrySample]:
             samples.append(OdometrySample(timestamp=ts, delta=pose))
         else:
             if prev_pose is not None:
-                samples.append(OdometrySample(timestamp=ts, delta=prev_pose.between(pose)))
+                try:
+                    delta = prev_pose.between(pose)
+                except ValueError:
+                    raise FormatError(lineno, "the increment from the pose before overflows") from None
+                samples.append(OdometrySample(timestamp=ts, delta=delta))
             prev_pose = pose
         prev_ts = ts
     return samples

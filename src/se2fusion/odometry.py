@@ -60,5 +60,8 @@ def accumulate(
             )
         prev = sample.timestamp
         if t_start < sample.timestamp <= t_end:
-            relative = relative.compose(sample.delta)
+            try:
+                relative = relative.compose(sample.delta)
+            except ValueError:
+                raise ValidationError(f"odometry folded up to {sample.timestamp} overflows") from None
     return AccumulatedEdge(t_start=t_start, t_end=t_end, relative=relative, noise=edge_noise)

@@ -26,6 +26,23 @@ the trailing block plus the new factors' H, which _frame_system computes in
 Python floats with factors.py's _row_terms. Any other change of the graph,
 or a bordered step that fails, takes the full first step.
 
+In sparse mode, a graph that holds an exact solve of H at its estimate, as
+a marginal read leaves one, lends it to an update that adds one pose: H
+there is the held H plus the new factors' H on the keys they touch. The new
+pose is eliminated by a 3x3 Schur complement, and the rank-3|S| change on
+the old keys S it leaves is solved by the Sherman-Morrison-Woodbury form of
+the inverse (Hager, Updating the Inverse of a Matrix, SIAM Review 1989),
+with one held solve per step, and one with a column per key of S per
+update, which the last marginal read has made when S is its key. So the
+update's steps need no factorization, and the marginal read's is the
+frame's only one. The CSC pattern is built in a key elimination order.
+A leaf frame, whose only between factor is odometry from the pose before,
+keeps its base's order with the new key first, which adds no fill, so
+SuperLU runs without an ordering; its pattern is the base's with the new
+key's columns put in front. Any other frame rebuilds the pattern in key
+order, lets SuperLU's minimum degree ordering choose, and holds the order
+it chose for the leaf frames after it.
+
 The graph and the estimate are one immutable snapshot, a _Graph, and what
 is derived from it, the index pattern, the band factor and what marginal
 reads reuse, lives on the same _Graph, so no cache needs a check (Driscoll,
@@ -121,6 +138,22 @@ _SPARSE_ENTRIES = (_mirrored(_TO_ENTRIES, _TO_MIRROR), _mirrored(_FROM_ENTRIES, 
 # keys its rows and columns lie at (numbered as in the entries above), and
 # the block of each entry, as an index into those codes.
 _BLOCKS = [np.unique(2 * e[0] + e[2], return_inverse=True) for e in _SPARSE_ENTRIES]
+# A leaf frame's pattern (see _extended_csc), whose new key comes first.
+# Each of the new key's columns holds 6 rows, its own 3, then the
+# predecessor's, at ROWS plus the predecessor's first row times LOW. The
+# entries of a factor on the new key alone lie in its diagonal block, at
+# TO. Those of its odometry's from side lie at OFF, plus the old top of the
+# predecessor's column COL where TOP marks one of those columns, plus the
+# offset of the predecessor's diagonal block in them where DIAG marks it.
+_LEAF_ROWS = np.tile(np.r_[_G3, _G3], 3).astype(np.int32)
+_LEAF_LOW = np.tile(np.repeat([0, 1], 3), 3).astype(np.int32)
+_LEAF_PTR = np.array([0, 6, 12], np.int32)
+_LEAF_TO = 6 * _SPARSE_ENTRIES[0][3] + _SPARSE_ENTRIES[0][1]
+_LEAF_COL = _SPARSE_ENTRIES[1][3]
+_LEAF_TOP = _SPARSE_ENTRIES[1][2] == 0
+_LEAF_DIAG = _LEAF_TOP & (_SPARSE_ENTRIES[1][0] == 0)
+_LEAF_OFF = np.where(_LEAF_TOP, 18 + 3 * _LEAF_COL + 3 * _LEAF_DIAG, 6 * _LEAF_COL + 3) + _SPARSE_ENTRIES[1][1]
+_G3_32 = _G3.astype(np.int32)
 
 
 class GaugeError(RuntimeError):
@@ -140,8 +173,10 @@ class SolveReport:
     # abs_tol or decrement (see _converges) when the solve converged,
     # no_descent or max_iterations when it did not
     stop_reason: str = ""
-    # whether the first step used the previous update's band factor,
-    # bordered by the new pose; factorizations counts only full ones
+    # whether the first step used a factor held from before the new pose,
+    # bordered by it: the previous update's band factor in banded mode, the
+    # solve of H at the previous estimate in sparse mode; factorizations
+    # counts only full ones
     bordered: bool = False
     # banded or sparse
     mode: str = ""
@@ -308,8 +343,11 @@ class _Graph(NamedTuple):
 
     The rest is derived, dropped by an addition and all set by update() on
     the graph it commits: the _pattern, err at the estimate, band, its last
-    full band factor, and for marginals the estimate's residual terms or
-    their solve, which _marginal_solve puts in their place.
+    full band factor, for marginals the estimate's residual terms or their
+    solve, which _marginal_solve puts in their place, order, the key
+    elimination order of its last sparse factorization, which leaf frames
+    keep, and columns, the last marginal read's key and its columns of
+    H^-1, which _bordered_solve reuses.
     """
 
     x: np.ndarray = np.zeros((0, 3))
@@ -325,10 +363,101 @@ class _Graph(NamedTuple):
     band: np.ndarray | None = None
     terms: tuple | None = None
     solve: Callable | None = None
+    order: np.ndarray | None = None
+    columns: tuple | None = None
 
     def added(self, **fields) -> _Graph:
         """This graph with fields replaced by an addition, and nothing derived from it (the fields after base)."""
         return _Graph(*self[:7], base=self if self.base is None else self.base)._replace(**fields)
+
+
+def _leaf_base(g: _Graph) -> _Graph | None:
+    """g's base when g is a leaf frame of it and it holds an elimination order, else None.
+
+    A leaf frame adds one pose, unary factors on it and one between factor,
+    odometry from the pose before.
+    """
+    base = g.base
+    if base is None or base.order is None or len(g.x) != len(base.x) + 1 or len(g.bt) != len(base.bt) + 1:
+        return None
+    n = len(base.x)
+    if g.bt_keys[0, -1] != n - 1 or g.bt_keys[1, -1] != n or (g.un_keys[len(base.un_keys) :] != n).any():
+        return None
+    return base
+
+
+def _csc(side_keys: tuple, bt_keys: np.ndarray, order: np.ndarray) -> dict:
+    """Sparse mode's CSC pattern of H with its keys in the elimination order order (see Smoother._pattern)."""
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    # one row per factor: the key measured or the to key; the from and the to key
+    keys = [pos[side_keys[0]][:, None], pos[bt_keys].T]
+    blocks = [(k[:, c % 2] << 32) | k[:, c // 2] for (c, _), k in zip(_BLOCKS, keys)]
+    csc, slot = np.unique(np.concatenate([b.ravel() for b in blocks]), return_inverse=True)
+    col = csc >> 32
+    per_col = np.bincount(col, minlength=len(order))
+    before = np.cumsum(per_col) - per_col
+    # the place of entry (i, j) of the block at slot s, at 9 s + 3 i + j
+    at = ((6 * before[col] + 3 * np.arange(len(csc)))[:, None] + 3 * per_col[col, None] * _CJ + _CI).ravel()
+    splits = zip(_BLOCKS, _SPARSE_ENTRIES, blocks, np.split(slot, [blocks[0].size]))
+    places = [at[9 * s.reshape(b.shape)[:, which] + (3 * e[1] + e[3])] for (_, which), e, b, s in splits]
+    indices = np.empty(9 * len(csc), np.int32)
+    indices[at] = (3 * (csc[:, None] & 0xFFFFFFFF) + _CI).ravel()
+    return {
+        "order": order,
+        # 32-bit indices spare scipy a scan to downcast them
+        "indices": indices,
+        "indptr": np.append(9 * before[:, None] + 3 * per_col[:, None] * _G3, 9 * len(csc)).astype(np.int32),
+        "h_size": 9 * len(csc),
+        "h_idx": np.concatenate([h.T.ravel() for h in places]),
+    }
+
+
+def _extended_csc(bp: dict, nu: int, nb: int, m: int) -> dict:
+    """_csc of a leaf frame in its base's order with the new key first, from the base's pattern bp.
+
+    nu and nb count the base's unary and between factors, and m the new
+    unary factors. The new key's column block goes in front: 6 entries per
+    column, its diagonal block and the (predecessor, new key) block. Its
+    (new key, predecessor) block goes on top of each of the predecessor's
+    three columns. So every old entry moves by 18, plus 3 for each of those
+    three insertion points at or before it, and every row index by 3.
+    """
+    order, indptr, indices = bp["order"], bp["indptr"], bp["indices"]
+    n = len(order)
+    c = 3 * int(np.flatnonzero(order == n - 1)[0])
+    t0, t1, t2 = tops = indptr[c : c + 3].tolist()
+    # the offset of the predecessor's diagonal block in its columns
+    diag = int(np.searchsorted(indices[t0 : indptr[c + 1]], c))
+    rows = indices + 3
+    ptr = indptr + 18
+    ptr[c + 1] += 3
+    ptr[c + 2] += 6
+    ptr[c + 3 :] += 9
+    moved = np.repeat(np.array([18, 21, 24, 27]), [t0, t1 - t0, t2 - t1, len(indices) - t2])
+    moved += np.arange(len(indices))
+    old = moved.take(bp["h_idx"])
+    # entry-major, as _csc lays it out: the unary factors, then the between
+    # factors' to sides; then the between factors' from sides
+    h_idx = np.empty(old.size + 9 * (m + 1) + 27, old.dtype)
+    to = h_idx[: 9 * (nu + m + nb + 1)].reshape(9, -1)
+    to_old = old[: 9 * (nu + nb)].reshape(9, -1)
+    to[:, :nu] = to_old[:, :nu]
+    to[:, nu : nu + m] = _LEAF_TO[:, None]
+    to[:, nu + m : -1] = to_old[:, nu:]
+    to[:, -1] = _LEAF_TO
+    fr = h_idx[to.size :].reshape(27, -1)
+    fr[:, :-1] = old[9 * (nu + nb) :].reshape(27, -1)
+    fr[:, -1] = _LEAF_TOP * np.array(tops)[_LEAF_COL] + _LEAF_DIAG * diag + _LEAF_OFF
+    return {
+        "order": np.concatenate([[n], order]),
+        "indices": np.concatenate(
+            [_LEAF_ROWS + (c + 3) * _LEAF_LOW, rows[:t0], _G3_32, rows[t0:t1], _G3_32, rows[t1:t2], _G3_32, rows[t2:]]
+        ),
+        "indptr": np.concatenate([_LEAF_PTR, ptr]),
+        "h_size": bp["h_size"] + 27,
+        "h_idx": h_idx,
+    }
 
 
 def _band_solve(cb: np.ndarray):
@@ -426,7 +555,10 @@ class Smoother:
             row = first_row.get(key)
             if row is not None and bt_from[row] not in waiting:
                 base = Pose2(*X[bt_from[row]].tolist())
-                X[key] = base.compose(Pose2(*g.bt[row, :3].tolist())).as_tuple()
+                try:
+                    X[key] = base.compose(Pose2(*g.bt[row, :3].tolist())).as_tuple()
+                except ValueError:
+                    raise GaugeError(f"the start value of variable {key} overflows") from None
             elif key > 0 and key - 1 not in waiting:
                 X[key] = X[key - 1]
             waiting.discard(key)
@@ -435,16 +567,20 @@ class Smoother:
         """Solver mode and where each H and g entry of _linearize goes.
 
         A function of the factor keys and the number of variables, built in one
-        pass unless the graph holds one, as update() commits it with its graph.
-        _linearize emits the entries of the to side, then those of the from
-        side, each entry-major: entry i of every factor, then entry i + 1.
-        Banded mode places H entry (r, c) at (max, min) of the lower band,
-        stored column after column. Sparse mode stores the full matrix in CSC
-        form: the dense 3x3 blocks of the key pairs that share a factor, sorted
-        by col << 32 | row key. Column 3b + j starts after the 9 before[b]
-        entries of the blocks left of block column b and holds 3 per_col[b], so
-        entry (i, j) of the block at slot s of that order lies at
-        6 before[b] + 3 s + 3 per_col[b] j + i.
+        pass unless the graph holds one, as update() commits it with its graph,
+        or it is a leaf frame's (see _leaf_base). _linearize emits the entries
+        of the to side, then those of the from side, each entry-major: entry i
+        of every factor, then entry i + 1. Banded mode places H entry (r, c) at
+        (max, min) of the lower band, stored column after column. Sparse mode
+        stores the full matrix in CSC form with its keys in the elimination
+        order order, whose rows and columns dof lists: the dense 3x3 blocks of
+        the key pairs that share a factor, sorted by col << 32 | row, each the
+        key's place in order. Column 3b + j starts after the 9 before[b]
+        entries of the blocks left of block column b and holds 3 per_col[b],
+        so entry (i, j) of the block at slot s of that order lies at
+        6 before[b] + 3 s + 3 per_col[b] j + i. held tells that order comes
+        from the base, for SuperLU to keep, rather than key order, for SuperLU
+        to order.
         """
         g = self._graph
         if g.pattern is not None:
@@ -467,26 +603,15 @@ class Smoother:
             p["h_idx"] = np.concatenate([h.ravel() for h in diag + [cross]])
             p["h_size"] = dim * (u + 1)
         else:
-            # one row per factor: the key measured or the to key; the from and the to key
-            keys = [side_keys[0][:, None], np.column_stack([bt_from, bt_to])]
-            blocks = [(k[:, c % 2] << 32) | k[:, c // 2] for (c, _), k in zip(_BLOCKS, keys)]
-            csc, slot = np.unique(np.concatenate([b.ravel() for b in blocks]), return_inverse=True)
-            col = csc >> 32
-            per_col = np.bincount(col, minlength=len(g.x))
-            before = np.cumsum(per_col) - per_col
-            # the place of entry (i, j) of the block at slot s, at 9 s + 3 i + j
-            at = ((6 * before[col] + 3 * np.arange(len(csc)))[:, None] + 3 * per_col[col, None] * _CJ + _CI).ravel()
-            splits = zip(_BLOCKS, _SPARSE_ENTRIES, blocks, np.split(slot, [blocks[0].size]))
-            places = [at[9 * s.reshape(b.shape)[:, which] + (3 * e[1] + e[3])] for (_, which), e, b, s in splits]
-            indices = np.empty(9 * len(csc), np.int32)
-            indices[at] = (3 * (csc[:, None] & 0xFFFFFFFF) + _CI).ravel()
-            p.update(
-                # 32-bit indices spare scipy a scan to downcast them
-                indices=indices,
-                indptr=np.append(9 * before[:, None] + 3 * per_col[:, None] * _G3, 9 * len(csc)).astype(np.int32),
-                h_size=9 * len(csc),
-                h_idx=np.concatenate([h.T.ravel() for h in places]),
-            )
+            base = _leaf_base(g)
+            if base is None:
+                p.update(_csc(side_keys, g.bt_keys, np.arange(len(g.x))), held=False)
+            elif base.order is base.pattern["order"]:
+                m = len(g.un_keys) - len(base.un_keys)
+                p.update(_extended_csc(base.pattern, len(base.un_keys), len(base.bt), m), held=True)
+            else:
+                p.update(_csc(side_keys, g.bt_keys, np.r_[len(base.x), base.order]), held=True)
+            p["dof"] = (3 * p["order"][:, None] + _G3).ravel()
         # g: the rows of the block of the key measured or the to key, then of the from key
         p["g_rows"] = np.concatenate([(3 * k + _G3[:, None]).ravel() for k in side_keys])
         # every factor's constant pose with its cosine and sine, and its info,
@@ -554,9 +679,12 @@ class Smoother:
 
     @staticmethod
     def _factorize(system, pattern: dict):
-        """The solve of system, a function from a right-hand side to the solution, and in banded mode its factor.
+        """The solve of system, a function from a right-hand side to the solution, and what a later update reuses.
 
-        The factor is the lower band of L, where L L^T = system; sparse mode gives None.
+        That is the lower band of L, where L L^T = system, in banded mode,
+        and the key elimination order in sparse mode: the pattern's when it
+        is held, else the one SuperLU chose, each key where its first column
+        went.
         """
         if pattern["mode"] == "banded":
             # LAPACK's banded Cholesky, without scipy's checking wrappers;
@@ -570,7 +698,7 @@ class Smoother:
             # panels, which cut gstrf's fixed cost at pose-graph sizes
             lu = scipy.sparse.linalg.splu(
                 system,
-                permc_spec="MMD_AT_PLUS_A",
+                permc_spec="NATURAL" if pattern["held"] else "MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 relax=1,
                 panel_size=1,
@@ -578,7 +706,17 @@ class Smoother:
             )
         except RuntimeError as exc:
             raise GaugeError(f"normal equations are singular: {exc}") from None
-        return lu.solve, None
+        dof, order = pattern["dof"], pattern["order"]
+        if not pattern["held"]:
+            # perm_c[i] is the step at which column i is eliminated
+            order = order[np.argsort(lu.perm_c.reshape(-1, 3).min(axis=1))]
+
+        def solve(rhs):
+            out = np.empty_like(rhs)
+            out[dof] = lu.solve(rhs[dof])
+            return out
+
+        return solve, order
 
     def _line_search(self, X: np.ndarray, err: float, delta: np.ndarray, pattern: dict):
         """(trial, error, terms) at the first of X exp(delta), X exp(delta / 2), ... whose error is at most err.
@@ -659,6 +797,59 @@ class Smoother:
             return None
         return err, solve, -0.5 * float(g @ delta), step
 
+    def _bordered_solve(self, X: np.ndarray):
+        """The solve of H at X: the base graph's solve bordered by the newest pose, or None.
+
+        It needs a base that holds the solve of its H at its estimate, in
+        sparse mode, and additions of one pose, and any factors. H at X is
+        then [[A + E11, E12], [E21, E22]], with A the base's H and E the new
+        factors' on the old keys S they touch and the new pose. Eliminating
+        the new pose leaves A + U C U^T, with C = E11 - E12 E22^-1 E21 and U
+        the columns of S, whose inverse is A^-1 - Z (I + C U^T Z)^-1 C Z^T,
+        Z = A^-1 U (Hager 1989). Z costs one multi-column solve, unless S is
+        one key whose marginal the base's last read solved for. None also
+        when E22 or I + C U^T Z is singular, as when no factor pins the new
+        pose.
+        """
+        g = self._graph
+        base = g.base
+        if base is None or base.solve is None or base.pattern["mode"] != "sparse" or len(g.x) != len(base.x) + 1:
+            return None
+        n = 3 * len(base.x)
+        nu, nb = len(base.un_keys), len(base.bt)
+        un_keys, bt_keys = g.un_keys[nu:].tolist(), g.bt_keys[:, nb:].T.tolist()
+        # S, then the new pose, and the new factors keyed by place in it
+        keys = sorted(set(un_keys + sum(bt_keys, [len(base.x)])))
+        place = {k: i for i, k in enumerate(keys)}
+        un_keys = [place[k] for k in un_keys]
+        bt_keys = [(place[a], place[b]) for a, b in bt_keys]
+        _, _, h = _frame_system(X[keys].tolist(), un_keys, g.un[nu:].tolist(), bt_keys, g.bt[nb:].tolist())
+        s = h.shape[0] - 3
+        rows = (3 * np.array(keys[:-1], np.intp)[:, None] + _G3).ravel()
+        try:
+            e22_inv = np.linalg.inv(h[s:, s:])
+            f = h[:s, s:] @ e22_inv
+            c = h[:s, :s] - f @ h[s:, :s]
+            if base.columns is not None and keys[:-1] == [base.columns[0]]:
+                z = base.columns[1]
+            else:
+                unit = np.zeros((n, s))
+                unit[rows, np.arange(s)] = 1.0
+                z = base.solve(unit)
+            kc = np.linalg.solve(np.eye(s) + c @ z[rows], c)
+        except np.linalg.LinAlgError:
+            return None
+        e21 = h[s:, :s]
+
+        def solve(rhs):
+            b = rhs[:n].copy()
+            b[rows] -= f @ rhs[n:]
+            y = base.solve(b)
+            y -= z @ (kc @ y[rows])
+            return np.concatenate([y, e22_inv @ (rhs[n:] - e21 @ y[rows])])
+
+        return solve
+
     # overflow shows up as a non-finite error or system, which raise GaugeError
     @np.errstate(all="ignore")
     def update(self) -> SolveReport:
@@ -683,10 +874,14 @@ class Smoother:
             if not math.isfinite(err):
                 raise GaugeError(f"factor error at the start point is not finite: {err}")
             solve = step = None
+        # in sparse mode, the solve of H at X that the first step takes in
+        # place of a factorization
+        lent = self._bordered_solve(X) if sparse and err > _ABSOLUTE_TOLERANCE else None
         history = [err]
         factorizations = 0
-        # the last full factor, in banded mode
-        band = None
+        # what the graph keeps of the last factorization (see _factorize); a
+        # held elimination order is known before one runs
+        factor = pattern["order"] if sparse and pattern["held"] else None
         stop_reason = "abs_tol" if err <= _ABSOLUTE_TOLERANCE else "max_iterations"
         if err > _ABSOLUTE_TOLERANCE:
             # every pass accepts one step, or ends the loop; the bordered
@@ -708,15 +903,20 @@ class Smoother:
                 if step is None:
                     # a Gauss-Newton step; g is still at X, as no step was accepted since
                     chord = False
-                    solve, band = self._factorize(self._linearize(terms, jac, pattern), pattern)
-                    factorizations += 1
-                    delta = solve(-g)
-                    if not np.all(np.isfinite(delta)):
-                        raise GaugeError("normal equations produced a non-finite step")
+                    delta = None if lent is None else lent(-g)
+                    if delta is not None and np.isfinite(delta).all():
+                        solve, bordered = lent, True
+                    else:
+                        solve, factor = self._factorize(self._linearize(terms, jac, pattern), pattern)
+                        factorizations += 1
+                        delta = solve(-g)
+                        if not np.all(np.isfinite(delta)):
+                            raise GaugeError("normal equations produced a non-finite step")
+                    lent = None
                     pred = -0.5 * float(g @ delta)
                     step = self._line_search(X, err, delta, pattern)
-                # the bordered step's prediction left the old factors out
-                done = _converges(pred, err, sparse and chord) and len(history) > bordered
+                # the banded bordered step's prediction left the old factors out
+                done = _converges(pred, err, sparse and chord) and len(history) > (start is not None)
                 if step is None:
                     stop_reason = "decrement" if done else "no_descent"
                     break
@@ -730,15 +930,16 @@ class Smoother:
         if solve is None:
             # only a factorization shows that the normal equations are
             # regular, which a variable that no factor touches makes them not
-            solve, band = self._factorize(self._linearize(terms, _jacobians(terms), pattern), pattern)
+            solve, factor = self._factorize(self._linearize(terms, _jacobians(terms), pattern), pattern)
             factorizations += 1
         iterations = len(history) - 1
         # every derived field, none inherited: band is a full factor only, and
-        # for marginals the solve only if no step, bordered or not, moved the
-        # estimate since it was factorized, else the estimate's residual terms
-        terms, solve = (None, solve) if iterations == 0 else (terms, None)
-        self._graph = graph._replace(
-            x=X, pending=(), n_solved=len(X), base=None, pattern=pattern, err=err, band=band, terms=terms, solve=solve
+        # for marginals the solve of a factorization only if no step moved the
+        # estimate since, else the estimate's residual terms
+        terms, solve = (None, solve) if iterations == 0 and not bordered else (terms, None)
+        band, order = (None, factor) if sparse else (factor, None)
+        self._graph = _Graph(
+            X, (), len(X), *graph[3:7], pattern=pattern, err=err, band=band, terms=terms, solve=solve, order=order
         )
         return SolveReport(
             iterations=iterations,
@@ -766,8 +967,9 @@ class Smoother:
         if g.solve is None:
             pattern = self._pattern()
             terms = g.terms if g.terms is not None else self._evaluate(g.x, pattern)[1]
-            solve, _ = self._factorize(self._linearize(terms, _jacobians(terms), pattern), pattern)
-            self._graph = g = g._replace(terms=None, solve=solve)
+            solve, factor = self._factorize(self._linearize(terms, _jacobians(terms), pattern), pattern)
+            order = factor if pattern["mode"] == "sparse" else None
+            self._graph = g = g._replace(terms=None, solve=solve, order=order)
         return g.solve
 
     def marginal_sigma(self, key: int) -> tuple[float, float, float]:
@@ -788,4 +990,5 @@ class Smoother:
         var = np.array([sol[3 * key + i, i] for i in range(3)])
         if not np.all(np.isfinite(var)) or np.any(var <= 0.0):
             raise GaugeError("marginal covariance is not positive definite")
+        self._graph = self._graph._replace(columns=(key, sol))
         return (math.sqrt(var[0]), math.sqrt(var[1]), math.sqrt(var[2]))

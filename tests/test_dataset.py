@@ -95,6 +95,14 @@ def test_non_finite_timestamp_reports_line(tmp_path, bad):
                 assert bad in str(exc.value)
 
 
+def test_absolute_odometry_whose_increment_overflows_reports_line(tmp_path):
+    p = tmp_path / "odo.csv"
+    p.write_text("timestamp,x,y,theta\n0,0,0,0\n0.1,1e308,0,0\n0.2,-1e308,0,0\n")
+    with pytest.raises(FormatError) as exc:
+        read_odometry_csv(p)
+    assert exc.value.line == 4
+
+
 def test_decreasing_timestamps_rejected(tmp_path):
     p = tmp_path / "dec.csv"
     p.write_text("timestamp,x,y,theta\n0.2,0,0,0\n0.1,1,0,0\n")

@@ -108,3 +108,9 @@ def test_edge_validation():
         AccumulatedEdge(1.0, 1.0, Pose2(0, 0, 0), ODOMETRY_DEFAULT)
     edge = AccumulatedEdge(1.0, 2.0, Pose2(1, 2, 0.5), ODOMETRY_DEFAULT)
     assert edge.t_start == 1.0 and edge.t_end == 2.0
+
+
+def test_fold_that_overflows_raises_validation_error():
+    samples = _samples([Pose2(1e308, 0.0, 0.0)] * 2)
+    with pytest.raises(ValidationError):
+        accumulate(samples, 0.0, 1.0, ODOMETRY_DEFAULT)

@@ -23,6 +23,7 @@ from se2fusion import (
     Smoother,
     Twist2,
 )
+from se2fusion import smoother
 from se2fusion.cli import RunConfig, _driver_from_config
 from se2fusion.noise import MEASUREMENT_DEFAULT, ODOMETRY_DEFAULT, PRIOR_DEFAULT
 from se2fusion.simulate import SimConfig, generate
@@ -32,6 +33,7 @@ from se2fusion.smoother import (
     _MAX_ITERATIONS,
     _RELATIVE_TOLERANCE,
     _TO_ENTRIES,
+    _csc,
     _frame_system,
     _jacobians,
 )
@@ -236,6 +238,18 @@ def test_rejected_update_changes_nothing(anchored):
         s.update()
     assert finish(s).error_history == finish(fresh).error_history
     assert s.estimate() == fresh.estimate()
+
+
+def test_start_value_that_overflows_raises_gauge_error():
+    s = Smoother()
+    s.add_variable(Pose2(1e308, 0, 0))
+    s.add_factor(PriorFactor(0, Pose2(1e308, 0, 0), UNIT))
+    s.add_variable()
+    s.add_factor(BetweenFactor(0, 1, Pose2(1e308, 0, 0), UNIT))
+    graph = s._graph
+    with pytest.raises(GaugeError):
+        s.update()
+    assert s._graph is graph and graph.pending == (1,) and graph.n_solved == 0
 
 
 def test_marginal_reuses_the_factorization_of_an_update_without_a_step():
@@ -1228,6 +1242,114 @@ def test_a_small_actual_decrease_does_not_end_the_solve():
     jac = _jacobians(terms)
     solve, _ = s._factorize(s._linearize(terms, jac, pattern), pattern)
     assert np.abs(solve(-s._gradient(terms, jac, pattern))).max() < 1e-5
+
+
+def _loop_graph_frames(seed, n):
+    """Per-frame factors of a loop graph: a prior, odometry, a fix on 4 poses in 5, and from pose 20 on, one time in 10, a loop closure over 15 poses or more."""
+    rng = make_rng(seed)
+    truth = [Pose2(0, 0, 0)]
+    for _ in range(1, n):
+        truth.append(truth[-1].compose(Pose2(rng.uniform(0.5, 1.5), rng.uniform(-0.2, 0.2), rng.uniform(-0.25, 0.25))))
+    fix, odo = DiagonalNoise(0.03, 0.03, 0.03), DiagonalNoise(0.005, 0.005, 0.005)
+
+    def noisy(p, sig):
+        return Pose2(*(np.array(p.as_tuple()) + rng.normal(0.0, sig.sigmas())))
+
+    frames = []
+    for k in range(n):
+        if k == 0:
+            factors = [PriorFactor(0, noisy(truth[0], fix), fix)]
+        else:
+            factors = [BetweenFactor(k - 1, k, noisy(truth[k - 1].between(truth[k]), odo), odo)]
+        if rng.random() < 0.8:
+            factors.append(MeasurementFactor(k, noisy(truth[k], fix), fix))
+        if k >= 20 and rng.random() < 0.1:
+            j = int(rng.integers(0, k - 15, endpoint=True))
+            factors.append(BetweenFactor(j, k, noisy(truth[j].between(truth[k]), fix), fix))
+        frames.append(factors)
+    return frames
+
+
+def _add(s, factors):
+    s.add_variable()
+    for f in factors:
+        s.add_factor(f)
+
+
+def test_leaf_frame_patterns_match_a_rebuild_in_their_order(monkeypatch):
+    # every frame reads the newest pose's marginal, so each base holds the
+    # elimination order of a factorization
+    extended = []
+    extend = smoother._extended_csc
+    monkeypatch.setattr(smoother, "_extended_csc", lambda *args: extended.append(None) or extend(*args))
+    s = Smoother()
+    for k, factors in enumerate(_loop_graph_frames(131, 120)):
+        _add(s, factors)
+        g, count = s._graph, len(extended)
+        pattern = s._pattern()
+        if len(extended) > count:
+            assert np.array_equal(pattern["order"], np.r_[k, g.base.order])
+            side_keys = (np.concatenate([g.un_keys, g.bt_keys[1]]), g.bt_keys[0])
+            for name, want in _csc(side_keys, g.bt_keys, pattern["order"]).items():
+                got = pattern[name]
+                assert type(got) is type(want) and np.array_equal(got, want), name
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype, name
+        s.update()
+        s.marginal_sigma(k)
+    # the frames a loop closure, or a reorder after one, leaves out
+    assert len(extended) >= 60
+
+
+def _sparse_frame_after_a_marginal_read(closure):
+    """A solved sparse loop graph whose newest marginal was read, its twin without the solve that read left, every factor, and those of a frame for both.
+
+    closure adds a loop closure to the frame, else it is a leaf frame.
+    """
+    frames = _loop_graph_frames(137, 61)
+    s = Smoother()
+    for factors in frames[:60]:
+        _add(s, factors)
+        s.update()
+    assert s._pattern()["mode"] == "sparse"
+    s.marginal_sigma(59)
+    twin = Smoother()
+    twin._graph = s._graph._replace(solve=None)
+    frame = list(frames[60])
+    if closure:
+        # agrees with the estimate and the frame's odometry
+        pose = s.pose_estimate(59).compose(frame[0].relative)
+        frame.append(BetweenFactor(12, 60, s.pose_estimate(12).between(pose), DiagonalNoise(0.05, 0.05, 0.05)))
+    return s, twin, [f for factors in frames[:60] for f in factors] + frame, frame
+
+
+@pytest.mark.parametrize("closure", [False, True], ids=["leaf", "loop-closure"])
+def test_sparse_frame_after_a_marginal_read_borders_its_solve(closure):
+    s, twin, factors, frame = _sparse_frame_after_a_marginal_read(closure)
+    for sm in (s, twin):
+        _add(sm, frame)
+    report, want = s.update(), twin.update()
+    assert report.mode == "sparse" and report.bordered and report.factorizations == 0
+    assert not want.bordered and want.factorizations > 0
+    # the same steps as those of a fresh factorization, to rounding
+    assert len(report.error_history) == len(want.error_history)
+    assert np.allclose(report.error_history, want.error_history, rtol=1e-12, atol=0.0)
+    h, _ = dense_normal_equations(61, factors, s.estimate())
+    cov = np.linalg.inv(h)
+    for k in (0, 59, 60):
+        want_sigma = np.sqrt(np.diag(cov)[3 * k : 3 * k + 3])
+        assert np.allclose(s.marginal_sigma(k), want_sigma, atol=0.0, rtol=1e-8)
+
+
+def test_sparse_frame_whose_pose_no_factor_pins_raises_gauge_error():
+    # the held solve cannot be bordered by a pose that no factor touches, so
+    # the full pass factorizes and finds H singular
+    s, _, _, _ = _sparse_frame_after_a_marginal_read(False)
+    s.add_variable()
+    graph = s._graph
+    with pytest.raises(GaugeError):
+        s.update()
+    assert s._graph is graph
 
 
 def test_sparse_updates_reuse_the_factorization():

@@ -13,10 +13,15 @@ smoother holds, and checks five things:
   fails, and after a successful one the estimate matches that solve to
   1e-6, as criterion 3 asks;
 - an update() whose first step was bordered starts from a graph that
-  appends one pose, and factors on it and the pose before, to its base,
-  which a banded update that factorized committed, with the base's poses
-  still where that update left them; later steps would correct the first
-  step of a stale factor, so only this shows one;
+  appends one pose to its base, with the base's poses still where its
+  update left them; in banded mode the new factors lie on that pose and the
+  pose before, and a banded update that factorized committed the base; in
+  sparse mode the base holds the solve of its H at its estimate, as the
+  dense normal equations give it; later steps would correct the first step
+  of a stale factor, so only this shows one;
+- a sparse update() of a leaf frame, one pose, fixes on it and odometry
+  into it from the pose before, added to a base that holds an elimination
+  order, keeps that order with the new key first;
 - marginal_sigma matches sqrt(diag(H^-1)) of the dense normal equations of
   test_smoother.py at the estimate, for a key drawn by a rule, and for the
   newest key after every rule that changed the graph or the estimate.
@@ -227,18 +232,30 @@ class SmootherModel(RuleBasedStateMachine):
         assert len(got) == len(self.guesses)
         assert max(pose_diff(got[k], want[k]) for k in got) < 1e-6
         report = reports[0]
+        held = start.base
         if report.bordered:
-            # one pose more than the base, whose factors come first, the new
-            # ones on its last pose and the new one, and its poses still
-            # where its update left them
-            held = start.base
-            assert state(held) in self.factorized
+            # one pose more than the base, whose factors come first, and its
+            # poses still where its update left them
             n, nu, nb = len(held.x), len(held.un_keys), len(held.bt)
             assert len(x0) == n + 1 and np.array_equal(x0[:n], held.x)
             for name in ("un_keys", "un", "bt"):
                 assert np.array_equal(getattr(start, name)[: len(getattr(held, name))], getattr(held, name))
             assert np.array_equal(start.bt_keys[:, :nb], held.bt_keys)
-            assert min(start.un_keys[nu:].min(initial=n), start.bt_keys[:, nb:].min(initial=n)) >= n - 1
+            if report.mode == "banded":
+                # the new factors on the base's last pose and the new one
+                assert state(held) in self.factorized
+                assert min(start.un_keys[nu:].min(initial=n), start.bt_keys[:, nb:].min(initial=n)) >= n - 1
+            else:
+                # the base's factors come first in each kind
+                unary = [f for f in self.factors if not isinstance(f, BetweenFactor)][:nu]
+                between = [f for f in self.factors if isinstance(f, BetweenFactor)][:nb]
+                h, _ = dense_normal_equations(n, unary + between, {k: Pose2(*held.x[k]) for k in range(n)})
+                assert np.allclose(held.solve(h), np.eye(3 * n), rtol=0.0, atol=1e-8)
+        if report.mode == "sparse" and held is not None and held.order is not None and len(x0) == len(held.x) + 1:
+            n, nu, nb = len(held.x), len(held.un_keys), len(held.bt)
+            new_between = start.bt_keys[:, nb:].T.tolist()
+            if new_between == [[n - 1, n]] and (start.un_keys[nu:] == n).all():
+                assert np.array_equal(self.s._graph.pattern["order"], np.r_[n, held.order])
         if report.mode == "banded" and report.factorizations:
             self.factorized.add(state(self.s._graph))
         return True
