@@ -17,31 +17,29 @@ as its factorization dominates the solve. Banded mode's factor is cheap, so
 it takes a chord step only to confirm convergence, never with the first
 step's factor, which is the furthest from H at the optimum.
 
-A chain frame, one pose appended with odometry from the pose before and a
-fix, changes only the last rows of the banded factor (Kaess, Ranganathan
-and Dellaert, iSAM, IEEE T-RO 2008). So the next update takes its first
-step with the last full band factor bordered by the new pose (Golub and Van
-Loan, Matrix Computations, 4.3): a 6x6 Cholesky of the old factors' part of
-the trailing block plus the new factors' H, which _frame_system computes in
-Python floats with factors.py's _row_terms. Any other change of the graph,
-or a bordered step that fails, takes the full first step.
+An update that adds one pose to a graph that holds a factor of its H at its
+estimate takes its first step with that factor bordered by the new pose
+(_bordered_start): H there is the held H plus the new factors' H on the old
+keys S they touch and the new pose, which _frame_system computes in Python
+floats with factors.py's _row_terms. A chain frame changes only the last
+rows of the band factor (Kaess, Ranganathan and Dellaert, iSAM, IEEE T-RO
+2008), so banded mode extends it by a 6x6 Cholesky of the trailing block
+(Golub and Van Loan, Matrix Computations, 4.3), with err and g that leave
+the old factors out: its step never ends the solve, and one that fails
+starts the pass again from an evaluation. Sparse mode borders the exact
+solve a marginal read leaves: the new pose goes by a 3x3 Schur complement,
+and the rank-3|S| change on S by the Sherman-Morrison-Woodbury form of the
+inverse (Hager, Updating the Inverse of a Matrix, SIAM Review 1989). Its
+step is a Newton step, and the marginal read's factorization the frame's
+only one. Any other change of the graph takes the full first step.
 
-In sparse mode, a graph that holds an exact solve of H at its estimate, as
-a marginal read leaves one, lends it to an update that adds one pose: H
-there is the held H plus the new factors' H on the keys they touch. The new
-pose is eliminated by a 3x3 Schur complement, and the rank-3|S| change on
-the old keys S it leaves is solved by the Sherman-Morrison-Woodbury form of
-the inverse (Hager, Updating the Inverse of a Matrix, SIAM Review 1989),
-with one held solve per step, and one with a column per key of S per
-update, which the last marginal read has made when S is its key. So the
-update's steps need no factorization, and the marginal read's is the
-frame's only one. The CSC pattern is built in a key elimination order.
-A leaf frame, whose only between factor is odometry from the pose before,
-keeps its base's order with the new key first, which adds no fill, so
-SuperLU runs without an ordering; its pattern is the base's with the new
-key's columns put in front. Any other frame rebuilds the pattern in key
-order, lets SuperLU's minimum degree ordering choose, and holds the order
-it chose for the leaf frames after it.
+The CSC pattern is built in a key elimination order. A leaf frame, whose
+only between factor is odometry from the pose before, keeps its base's order
+with the new key first, which adds no fill, so SuperLU runs without an
+ordering; its pattern is the base's with the new key's columns put in front.
+Any other frame rebuilds the pattern in key order, lets SuperLU's minimum
+degree ordering choose, and holds the order it chose for the leaf frames
+after it.
 
 The graph and the estimate are one immutable snapshot, a _Graph, and what
 is derived from it, the index pattern, the band factor and what marginal
@@ -173,9 +171,8 @@ class SolveReport:
     # abs_tol or decrement (see _converges) when the solve converged,
     # no_descent or max_iterations when it did not
     stop_reason: str = ""
-    # whether the first step used a factor held from before the new pose,
-    # bordered by it: the previous update's band factor in banded mode, the
-    # solve of H at the previous estimate in sparse mode; factorizations
+    # whether the first pass took its step from the factor held from before
+    # the new pose, bordered by it (see _bordered_start); factorizations
     # counts only full ones
     bordered: bool = False
     # banded or sparse
@@ -186,9 +183,9 @@ class SolveReport:
         return self.stop_reason in ("abs_tol", "decrement")
 
 
-def _converges(pred: float, err: float, sparse_chord: bool = False) -> bool:
-    """update()'s one convergence test, of a step from error err that predicts a decrease pred."""
-    return math.isfinite(pred) and pred <= (_CHORD_STOP if sparse_chord else 1.0) * _RELATIVE_TOLERANCE * err
+def _converges(pred: float, err: float, scale: float = 1.0) -> bool:
+    """update()'s one convergence test, of a step from error err that predicts a decrease pred, with its bound scaled by scale."""
+    return math.isfinite(pred) and pred <= scale * _RELATIVE_TOLERANCE * err
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:
@@ -347,7 +344,7 @@ class _Graph(NamedTuple):
     solve, which _marginal_solve puts in their place, order, the key
     elimination order of its last sparse factorization, which leaf frames
     keep, and columns, the last marginal read's key and its columns of
-    H^-1, which _bordered_solve reuses.
+    H^-1, which _bordered_start reuses.
     """
 
     x: np.ndarray = np.zeros((0, 3))
@@ -464,6 +461,63 @@ def _band_solve(cb: np.ndarray):
     """The solve of L L^T, a function from a right-hand side to the solution, given the lower band cb of L."""
     # the factor is finite, and so is rhs whenever the system was
     return lambda rhs: scipy.linalg.lapack.dpbtrs(cb, rhs, lower=1)[0]
+
+
+def _bordered_band(band: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """A chain's lower band factor band bordered by a new pose; None where that is not positive definite.
+
+    h is the new factors' H on band's last pose k and the new pose. The old
+    factors' part of the trailing block, whose columns before it they leave
+    as they were, is L_kk L_kk^T of band's last diagonal block (Golub and Van
+    Loan, Matrix Computations, 4.3).
+    """
+    k = band.shape[1] // 3 - 1
+    tail = h.copy()
+    l_kk = np.zeros((3, 3))
+    l_kk[_UJ, _UI] = band[_UJ - _UI, 3 * k + _UI]
+    tail[:3, :3] += l_kk @ l_kk.T
+    l_tail, info = scipy.linalg.lapack.dpotrf(tail, lower=1)
+    if info != 0:
+        return None
+    cb = np.zeros((_CHAIN_BAND + 1, 6))
+    cb[_TAIL_I - _TAIL_J, _TAIL_J] = l_tail[_TAIL_I, _TAIL_J]
+    # column-major, as LAPACK stores a band
+    return np.concatenate([band.T[: 3 * k], cb.T]).T
+
+
+def _woodbury_solve(solve_a: Callable, n: int, rows: np.ndarray, h: np.ndarray, z: np.ndarray | None = None):
+    """The solve of [[A + E11, E12], [E21, E22]] from solve_a, A's, of size n; None where E22 or the capacitance is singular.
+
+    E is h, the new factors' H on the old keys S and the new pose, last,
+    and rows lists the rows of A that S's keys hold. Eliminating the new
+    pose leaves A + U C U^T, with C = E11 - E12 E22^-1 E21 and U those
+    columns of the identity, whose inverse is A^-1 - Z (I + C U^T Z)^-1 C Z^T,
+    Z = A^-1 U (Hager 1989): one solve of A per solve, and one with a column
+    per row of S, unless z gives Z. E22 is singular when no factor pins the
+    new pose.
+    """
+    s = len(rows)
+    try:
+        e22_inv = np.linalg.inv(h[s:, s:])
+        f = h[:s, s:] @ e22_inv
+        c = h[:s, :s] - f @ h[s:, :s]
+        if z is None:
+            unit = np.zeros((n, s))
+            unit[rows, np.arange(s)] = 1.0
+            z = solve_a(unit)
+        kc = np.linalg.solve(np.eye(s) + c @ z[rows], c)
+    except np.linalg.LinAlgError:
+        return None
+    e21 = h[s:, :s]
+
+    def solve(rhs):
+        b = rhs[:n].copy()
+        b[rows] -= f @ rhs[n:]
+        y = solve_a(b)
+        y -= z @ (kc @ y[rows])
+        return np.concatenate([y, e22_inv @ (rhs[n:] - e21 @ y[rows])])
+
+    return solve
 
 
 class Smoother:
@@ -732,128 +786,60 @@ class Smoother:
             alpha *= 0.5
         return None
 
-    def _bordered_factor(self, X: np.ndarray, pattern: dict):
-        """(err, g, band) at X: the base graph's band factor bordered by the newest pose; None where that is not exact.
+    def _bordered_start(self, X: np.ndarray, pattern: dict):
+        """(err, g, solve) at X from the base graph's factor bordered by the newest pose (see above), or None.
 
-        err is the error at X, g the new factors' gradient and band the
-        factor of H with the old factors taken where the base's factor was
-        and the new ones at X. It needs a base with a band factor, and
-        additions of one pose, and factors on it and the pose before, in a
-        chain's band. None also when the bordered matrix is not positive
-        definite.
+        It needs a base that holds a factor of its H at its estimate in this
+        graph's mode, and additions of one pose and of factors on it and the
+        old keys S, which in banded mode are at most the pose before. The old
+        factors' error at X is then the base's, and their gradient about
+        zero, as its update converged: err adds the new factors' error to
+        base.err, and g is theirs. None also where banded mode's err is not
+        above _ABSOLUTE_TOLERANCE, or the bordered matrix is singular.
         """
-        g = self._graph
-        base = g.base
+        graph = self._graph
+        base = graph.base
+        banded = pattern["mode"] == "banded"
+        held = None if base is None else base.band if banded else base.solve
         # additions alone keep the base's rows and its estimate, with every
         # pending key a new one
-        if base is None or base.band is None or len(g.x) != len(base.x) + 1:
+        if held is None or base.pattern["mode"] != pattern["mode"] or len(graph.x) != len(base.x) + 1:
             return None
-        if pattern["u"] != _CHAIN_BAND or len(base.band) != _CHAIN_BAND + 1:
+        n, nu, nb = len(base.x), len(base.un_keys), len(base.bt)
+        un_keys, bt_keys = graph.un_keys[nu:].tolist(), graph.bt_keys[:, nb:].T.tolist()
+        # S, then the new pose, and the new factors keyed by place in it; a
+        # chain's band is bordered on the pose before and the new pose
+        keys = sorted(set(un_keys + sum(bt_keys, [n - 1, n] if banded else [n])))
+        if banded and (keys[0] < n - 1 or pattern["u"] != _CHAIN_BAND or len(held) != _CHAIN_BAND + 1):
             return None
-        # the trailing block: the old last pose k and the new pose
-        k = len(base.x) - 1
-        nu, nb = len(base.un_keys), len(base.bt)
-        # the new factors alone, keyed from k
-        un_keys = [key - k for key in g.un_keys[nu:].tolist()]
-        bt_keys = [(a - k, b - k) for a, b in g.bt_keys[:, nb:].T.tolist()]
-        if min(un_keys + [key for pair in bt_keys for key in pair], default=0) < 0:
-            return None
-        x = X[k:].tolist()
-        tail_err, g_tail, h_tail = _frame_system(x, un_keys, g.un[nu:].tolist(), bt_keys, g.bt[nb:].tolist())
-        # the old factors' error at X is the base's, and their gradient
-        # about zero, as its update converged
-        err = base.err + tail_err
-        if not _ABSOLUTE_TOLERANCE < err < math.inf:
-            return None
-        # the old factors' part of the trailing block, whose columns before it
-        # they leave as they were: L_kk L_kk^T of the base factor's last
-        # diagonal block (Golub and Van Loan, Matrix Computations, 4.3)
-        l_kk = np.zeros((3, 3))
-        l_kk[_UJ, _UI] = base.band[_UJ - _UI, 3 * k + _UI]
-        h_tail[:3, :3] += l_kk @ l_kk.T
-        l_tail, info = scipy.linalg.lapack.dpotrf(h_tail, lower=1)
-        if info != 0:
-            return None
-        cb = np.zeros((_CHAIN_BAND + 1, 6))
-        cb[_TAIL_I - _TAIL_J, _TAIL_J] = l_tail[_TAIL_I, _TAIL_J]
-        g_new = np.zeros(pattern["dim"])
-        g_new[3 * k :] = g_tail
-        # column-major, as LAPACK stores a band
-        return err, g_new, np.concatenate([base.band.T[: 3 * k], cb.T]).T
-
-    def _bordered_step(self, X: np.ndarray, pattern: dict):
-        """The first step from X with the _bordered_factor: (err, solve, pred, step), or None without one or a descent.
-
-        pred is the step's predicted decrease, and step what the line search accepted.
-        """
-        start = self._bordered_factor(X, pattern)
-        if start is None:
-            return None
-        err, g, band = start
-        solve = _band_solve(band)
-        delta = solve(-g)
-        step = self._line_search(X, err, delta, pattern) if np.isfinite(delta).all() else None
-        if step is None:
-            return None
-        return err, solve, -0.5 * float(g @ delta), step
-
-    def _bordered_solve(self, X: np.ndarray):
-        """The solve of H at X: the base graph's solve bordered by the newest pose, or None.
-
-        It needs a base that holds the solve of its H at its estimate, in
-        sparse mode, and additions of one pose, and any factors. H at X is
-        then [[A + E11, E12], [E21, E22]], with A the base's H and E the new
-        factors' on the old keys S they touch and the new pose. Eliminating
-        the new pose leaves A + U C U^T, with C = E11 - E12 E22^-1 E21 and U
-        the columns of S, whose inverse is A^-1 - Z (I + C U^T Z)^-1 C Z^T,
-        Z = A^-1 U (Hager 1989). Z costs one multi-column solve, unless S is
-        one key whose marginal the base's last read solved for. None also
-        when E22 or I + C U^T Z is singular, as when no factor pins the new
-        pose.
-        """
-        g = self._graph
-        base = g.base
-        if base is None or base.solve is None or base.pattern["mode"] != "sparse" or len(g.x) != len(base.x) + 1:
-            return None
-        n = 3 * len(base.x)
-        nu, nb = len(base.un_keys), len(base.bt)
-        un_keys, bt_keys = g.un_keys[nu:].tolist(), g.bt_keys[:, nb:].T.tolist()
-        # S, then the new pose, and the new factors keyed by place in it
-        keys = sorted(set(un_keys + sum(bt_keys, [len(base.x)])))
         place = {k: i for i, k in enumerate(keys)}
         un_keys = [place[k] for k in un_keys]
         bt_keys = [(place[a], place[b]) for a, b in bt_keys]
-        _, _, h = _frame_system(X[keys].tolist(), un_keys, g.un[nu:].tolist(), bt_keys, g.bt[nb:].tolist())
-        s = h.shape[0] - 3
-        rows = (3 * np.array(keys[:-1], np.intp)[:, None] + _G3).ravel()
-        try:
-            e22_inv = np.linalg.inv(h[s:, s:])
-            f = h[:s, s:] @ e22_inv
-            c = h[:s, :s] - f @ h[s:, :s]
-            if base.columns is not None and keys[:-1] == [base.columns[0]]:
-                z = base.columns[1]
-            else:
-                unit = np.zeros((n, s))
-                unit[rows, np.arange(s)] = 1.0
-                z = base.solve(unit)
-            kc = np.linalg.solve(np.eye(s) + c @ z[rows], c)
-        except np.linalg.LinAlgError:
-            return None
-        e21 = h[s:, :s]
-
-        def solve(rhs):
-            b = rhs[:n].copy()
-            b[rows] -= f @ rhs[n:]
-            y = base.solve(b)
-            y -= z @ (kc @ y[rows])
-            return np.concatenate([y, e22_inv @ (rhs[n:] - e21 @ y[rows])])
-
-        return solve
+        tail_err, g_tail, h = _frame_system(
+            X.take(keys, 0).tolist(), un_keys, graph.un[nu:].tolist(), bt_keys, graph.bt[nb:].tolist()
+        )
+        err = base.err + tail_err
+        rows = [3 * k + i for k in keys for i in range(3)]
+        g = np.zeros(pattern["dim"])
+        g[rows] = g_tail
+        if banded:
+            band = _bordered_band(held, h) if _ABSOLUTE_TOLERANCE < err < math.inf else None
+            solve = None if band is None else _band_solve(band)
+        else:
+            # the last marginal read's columns are Z when S is its key
+            z = base.columns[1] if base.columns is not None and keys[:-1] == [base.columns[0]] else None
+            solve = _woodbury_solve(held, 3 * n, np.array(rows[:-3]), h, z)
+        return None if solve is None else (err, g, solve)
 
     # overflow shows up as a non-finite error or system, which raise GaugeError
     @np.errstate(all="ignore")
     def update(self) -> SolveReport:
-        """Solve the whole graph from the current estimate; on any error, change nothing."""
+        """Solve the whole graph from the current estimate; on any error, change nothing.
+
+        Each pass takes its step from the first source that gives a finite
+        step and a line search result: the _bordered_start on the first pass,
+        the held solve (a chord step), then a fresh factorization (Newton).
+        """
         t0 = time.perf_counter()
         graph = self._graph
         if len(graph.x) == 0:
@@ -865,68 +851,76 @@ class Smoother:
         X = graph.x.copy()
         if graph.pending:
             self._activate_pending(X)
-        start = None if sparse else self._bordered_step(X, pattern)
-        bordered = start is not None
-        if bordered:
-            err, solve, pred, step = start
-        else:
-            err, terms = self._evaluate(X, pattern)
-            if not math.isfinite(err):
-                raise GaugeError(f"factor error at the start point is not finite: {err}")
-            solve = step = None
-        # in sparse mode, the solve of H at X that the first step takes in
-        # place of a factorization
-        lent = self._bordered_solve(X) if sparse and err > _ABSOLUTE_TOLERANCE else None
-        history = [err]
-        factorizations = 0
+        start = self._bordered_start(X, pattern)
+        history, factorizations, bordered, done, stuck = [], 0, False, False, False
+        # the solve of the last step taken, and the one a chord step may take
+        solve = held = None
         # what the graph keeps of the last factorization (see _factorize); a
         # held elimination order is known before one runs
         factor = pattern["order"] if sparse and pattern["held"] else None
-        stop_reason = "abs_tol" if err <= _ABSOLUTE_TOLERANCE else "max_iterations"
-        if err > _ABSOLUTE_TOLERANCE:
-            # every pass accepts one step, or ends the loop; the bordered
-            # step, if any, is the first pass's
-            for _ in range(_MAX_ITERATIONS):
-                if step is None:
-                    jac = _jacobians(terms)
-                    g = self._gradient(terms, jac, pattern)
-                    # a chord step, with the factor of an earlier point: in
-                    # sparse mode while its predicted decrease falls
-                    # geometrically, in banded mode only when it would end the
-                    # solve, and never with the first step's factor
-                    if solve is not None and (sparse or len(history) > 2):
-                        delta = solve(-g)
-                        pred = -0.5 * float(g @ delta)
-                        chord = math.isfinite(pred) and pred <= _CHORD_RATE * last_pred if sparse else _converges(pred, err)
-                        if chord:
-                            step = self._line_search(X, err, delta, pattern)
-                if step is None:
-                    # a Gauss-Newton step; g is still at X, as no step was accepted since
-                    chord = False
-                    delta = None if lent is None else lent(-g)
-                    if delta is not None and np.isfinite(delta).all():
-                        solve, bordered = lent, True
-                    else:
-                        solve, factor = self._factorize(self._linearize(terms, jac, pattern), pattern)
-                        factorizations += 1
-                        delta = solve(-g)
-                        if not np.all(np.isfinite(delta)):
-                            raise GaugeError("normal equations produced a non-finite step")
-                    lent = None
-                    pred = -0.5 * float(g @ delta)
-                    step = self._line_search(X, err, delta, pattern)
-                # the banded bordered step's prediction left the old factors out
-                done = _converges(pred, err, sparse and chord) and len(history) > (start is not None)
-                if step is None:
-                    stop_reason = "decrement" if done else "no_descent"
-                    break
-                X, err, terms = step
-                step = None
-                last_pred = pred
+        while True:
+            if not history:
+                # banded mode's start stands in for the evaluation of X
+                if start is not None and not sparse:
+                    (err, g, lent), terms = start, None
+                else:
+                    err, terms = self._evaluate(X, pattern)
+                    if not math.isfinite(err):
+                        raise GaugeError(f"factor error at the start point is not finite: {err}")
+                    g, lent = None, None if start is None else start[2]
                 history.append(err)
-                if err <= _ABSOLUTE_TOLERANCE or done:
-                    stop_reason = "abs_tol" if err <= _ABSOLUTE_TOLERANCE else "decrement"
+            if err <= _ABSOLUTE_TOLERANCE or done or stuck or len(history) > _MAX_ITERATIONS:
+                break
+            if g is None:
+                jac = _jacobians(terms)
+                g = self._gradient(terms, jac, pattern)
+            # the pass's first source: (its solve, the bound a chord step's
+            # predicted decrease must meet, the factor on _converges's bound
+            # when its step may end the solve, whether a failed search ends
+            # it), and whether its step's solve is held for chord steps
+            if len(history) == 1:
+                # the bordered solve: H's at X in sparse mode, so a Newton
+                # step; banded mode's err and g leave the old factors out, and
+                # no chord step takes its first factor, the furthest from H at
+                # the optimum
+                source, keep = (lent, None, 1.0 if sparse else None, sparse), sparse
+            else:
+                # the held solve: in sparse mode while its predicted decrease
+                # falls geometrically, in banded mode when it would end the solve
+                bound = _CHORD_RATE * last_pred if sparse else _RELATIVE_TOLERANCE * err
+                source, keep = (held, bound, _CHORD_STOP if sparse else 1.0, False), True
+            # then a Newton step, with a fresh factorization
+            sources = ([source] if source[0] is not None else []) + [(None, None, 1.0, True)]
+            for take, bound, scale, ends in sources:
+                if take is None:
+                    take, factor = self._factorize(self._linearize(terms, jac, pattern), pattern)
+                    factorizations += 1
+                delta = take(-g)
+                pred = -0.5 * float(g @ delta)
+                step = None
+                # a finite pred, which a chord step's bound asks for, needs a finite delta
+                if np.isfinite(delta).all() if bound is None else math.isfinite(pred) and pred <= bound:
+                    step = self._line_search(X, err, delta, pattern)
+                    done = scale is not None and _converges(pred, err, scale)
+                    if step is not None or ends:
+                        solve, bordered = take, bordered or take is lent
+                        break
+                if terms is None:
+                    # the next source needs the evaluation of X
                     break
+            else:
+                raise GaugeError("normal equations produced a non-finite step")
+            if step is not None:
+                X, err, terms = step
+                g, last_pred, held = None, pred, take if keep else None
+                history.append(err)
+            elif ends:
+                stuck = True
+            else:
+                history, start = [], None
+        stop_reason = (
+            "abs_tol" if err <= _ABSOLUTE_TOLERANCE else "decrement" if done else "no_descent" if stuck else "max_iterations"
+        )
         if solve is None:
             # only a factorization shows that the normal equations are
             # regular, which a variable that no factor touches makes them not

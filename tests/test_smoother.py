@@ -917,23 +917,26 @@ def _gauss_newton_history(s):
     _RELATIVE_TOLERANCE times the error at its start: the solve ends after
     it, or at its start when its line search finds no decrease. The first
     step may take the base graph's factor bordered by the new pose, when
-    s._bordered_step gives one; its prediction ends nothing, as its gradient
-    is the new factors'. Every other step factorizes H, but from the third
-    point on the factor of the step before, back-solved at the new point,
-    goes first when its prediction converges and its line search finds no
-    higher error. It runs s's own evaluation, assembly, factorization and
-    line search, and changes nothing in s.
+    s._bordered_start gives one and its line search a decrease; its
+    prediction ends nothing, as its gradient is the new factors'. Every other
+    step factorizes H, but from the third point on the factor of the step
+    before, back-solved at the new point, goes first when its prediction
+    converges and its line search finds no higher error. It runs s's own
+    evaluation, assembly, factorization and line search, and changes nothing
+    in s.
     """
     pattern = s._pattern()
     x = s._graph.x.copy()
     s._activate_pending(x)
-    start = s._bordered_step(x, pattern)
-    bordered = start is not None
-    if bordered:
-        err, _, _, step = start
-    else:
+    start = s._bordered_start(x, pattern)
+    step = None
+    if start is not None:
+        err, g, solve = start
+        delta = solve(-g)
+        step = s._line_search(x, err, delta, pattern) if np.isfinite(delta).all() else None
+    bordered = step is not None
+    if not bordered:
         err, terms = s._evaluate(x, pattern)
-        step = None
     history = [err]
     factorizations = 0
     if err <= _ABSOLUTE_TOLERANCE:
@@ -1013,31 +1016,50 @@ def _add_frame(s, fix, relative=Pose2(1.0, 0.0, 0.05), back=1):
     return k
 
 
-@pytest.mark.parametrize("seed", [5, 6])
-def test_bordered_factor_matches_a_full_factorization(seed):
-    sim = generate(SimConfig(seed=seed, n_frames=301))
-    s = _default_driver(sim, 300).smoother
-    # hold a factor of H at the estimate, where the appended frame leaves
-    # the old poses, so that H at the start point is the bordered matrix
+@pytest.mark.parametrize("mode, seed", [("banded", 5), ("banded", 6), ("sparse", 7)], ids=["5", "6", "sparse"])
+def test_bordered_factor_matches_a_full_factorization(mode, seed):
+    # hold a factor of H at the estimate, where the appended frame leaves the
+    # old poses, so that H at the start point is the bordered matrix: the band
+    # factor of a default chain, or the solve a marginal read leaves on a loop
+    # graph, whose frame closes a loop
+    if mode == "banded":
+        sim = generate(SimConfig(seed=seed, n_frames=301))
+        s = _default_driver(sim, 300).smoother
+    else:
+        s, _, _, frame = _sparse_frame_after_a_marginal_read(closure=True)
     pattern = s._pattern()
     held_err, terms = s._evaluate(s._graph.x, pattern)
     system, g_held = linearize(s, terms, pattern)
-    s._graph = s._graph._replace(band=s._factorize(system, pattern)[1], err=held_err)
-    _add_frame(s, sim.measurements[300][1])
+    if mode == "banded":
+        s._graph = s._graph._replace(band=s._factorize(system, pattern)[1], err=held_err)
+        _add_frame(s, sim.measurements[300][1])
+    else:
+        assert s._graph.solve is not None and s._graph.err == pytest.approx(held_err, rel=1e-12)
+        _add(s, frame)
     pattern = s._pattern()
+    assert pattern["mode"] == mode
     x = s._graph.x.copy()
     s._activate_pending(x)
-    err, g, band = s._bordered_factor(x, pattern)
+    err, g, solve = s._bordered_start(x, pattern)
 
     want_err, terms = s._evaluate(x, pattern)
     system, want_g = linearize(s, terms, pattern)
-    _, want_band = s._factorize(system, pattern)
-    assert band.shape == want_band.shape
-    assert np.max(np.abs(band - want_band)) <= 1e-12 * np.max(np.abs(want_band))
+    want_solve, want_factor = s._factorize(system, pattern)
+    if mode == "banded":
+        # the band extension of the frame's H on the pose before and the new pose
+        gr, base = s._graph, s._graph.base
+        nu, nb = len(base.un_keys), len(base.bt)
+        _, _, h = _frame_system(x[-2:].tolist(), [1] * (len(gr.un) - nu), gr.un[nu:].tolist(), [(0, 1)], gr.bt[nb:].tolist())
+        band = smoother._bordered_band(base.band, h)
+        assert band.shape == want_factor.shape
+        assert np.max(np.abs(band - want_factor)) <= 1e-12 * np.max(np.abs(want_factor))
     assert err == pytest.approx(want_err, rel=1e-12)
     # g is that of the new factors alone: H's gradient less the held graph's
     want_g[: len(g_held)] -= g_held
     assert np.max(np.abs(g - want_g)) <= 1e-9 * np.max(np.abs(want_g))
+    rhs = make_rng(seed).normal(size=(len(want_g), 4))
+    want = want_solve(rhs)
+    assert np.max(np.abs(solve(rhs) - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_frame_system_matches_dense_normal_equations():
@@ -1131,6 +1153,13 @@ def _loop_closure(s):
     return s
 
 
+def _read_then_loop_closure(s):
+    # the banded base holds the solve of a marginal read, but the frame turns
+    # the graph sparse, whose bordered start needs a sparse base
+    s.marginal_sigma(19)
+    return _loop_closure(s)
+
+
 @pytest.mark.parametrize(
     "build, mode",
     [
@@ -1139,14 +1168,15 @@ def _loop_closure(s):
         (_old_key, "banded"),
         (_wider_band, "banded"),
         (_loop_closure, "sparse"),
+        (_read_then_loop_closure, "sparse"),
     ],
-    ids=["first-update", "truncate-then-branch", "factor-on-an-old-key", "wider-band", "sparse"],
+    ids=["first-update", "truncate-then-branch", "factor-on-an-old-key", "wider-band", "sparse", "banded-solve-then-sparse"],
 )
 def test_updates_that_do_not_append_a_frame_take_the_full_pass(build, mode):
     s = build(_chain(20))
     # the full pass from the same point, as with no factor held
     twin = build(_chain(20))
-    twin._bordered_factor = lambda *_: None
+    twin._bordered_start = lambda *_: None
     report, want = s.update(), twin.update()
     assert report.mode == mode
     assert not report.bordered
@@ -1158,9 +1188,9 @@ def test_bordered_step_without_descent_falls_back_to_a_full_pass():
     s, twin = _chain(20), _chain(20)
     for sm in (s, twin):
         _add_frame(sm, Pose2(20, 1, 0))
-    twin._bordered_factor = lambda *_: None
+    twin._bordered_start = lambda *_: None
     _refuse_first_line_search(s)
-    assert s._bordered_factor(s._graph.x.copy(), s._pattern()) is not None
+    assert s._bordered_start(s._graph.x.copy(), s._pattern()) is not None
     report, want = s.update(), twin.update()
     assert not report.bordered
     assert report == replace(want, duration_ms=report.duration_ms)
