@@ -18,20 +18,21 @@ it takes a chord step only to confirm convergence, never with the first
 step's factor, which is the furthest from H at the optimum.
 
 An update that adds one pose to a graph that holds a factor of its H at its
-estimate takes its first step with that factor bordered by the new pose
-(_bordered_start): H there is the held H plus the new factors' H on the old
-keys S they touch and the new pose, which _frame_system computes in Python
-floats with factors.py's _row_terms. A chain frame changes only the last
-rows of the band factor (Kaess, Ranganathan and Dellaert, iSAM, IEEE T-RO
-2008), so banded mode extends it by a 6x6 Cholesky of the trailing block
-(Golub and Van Loan, Matrix Computations, 4.3), with err and g that leave
-the old factors out: its step never ends the solve, and one that fails
-starts the pass again from an evaluation. Sparse mode borders the exact
-solve a marginal read leaves: the new pose goes by a 3x3 Schur complement,
-and the rank-3|S| change on S by the Sherman-Morrison-Woodbury form of the
-inverse (Hager, Updating the Inverse of a Matrix, SIAM Review 1989). Its
-step is a Newton step, and the marginal read's factorization the frame's
-only one. Any other change of the graph takes the full first step.
+estimate starts from that base (_bordered_start): err is the base's error
+plus the new factors', g the new factors' gradient, as the base converged,
+and the first step's factor the held one bordered by the new pose, with the
+new factors' H on the old keys S they touch and the new pose from
+_frame_system (Python floats, factors.py's _row_terms). A bordered step that
+finds no decrease starts the pass again from an evaluation. A chain frame
+changes only the last rows of the band factor (Kaess, Ranganathan and
+Dellaert, iSAM, IEEE T-RO 2008), so banded mode extends it by a 6x6 Cholesky
+of the trailing block (Golub and Van Loan, Matrix Computations, 4.3). Sparse
+mode borders the exact solve a marginal read leaves: the new pose by a 3x3
+Schur complement, the rank-3|S| change on S by the Sherman-Morrison-Woodbury
+form (Hager, Updating the Inverse of a Matrix, SIAM Review 1989). That solve
+is H's at X, so its step is a Newton step that may end the solve, and the
+read's factorization the frame's only one; the band factor is not, so a
+chain frame's step never ends it. Any other change takes the full first step.
 
 The CSC pattern is built in a key elimination order. A leaf frame, whose
 only between factor is odometry from the pose before, keeps its base's order
@@ -794,8 +795,8 @@ class Smoother:
         old keys S, which in banded mode are at most the pose before. The old
         factors' error at X is then the base's, and their gradient about
         zero, as its update converged: err adds the new factors' error to
-        base.err, and g is theirs. None also where banded mode's err is not
-        above _ABSOLUTE_TOLERANCE, or the bordered matrix is singular.
+        base.err, and g is theirs. None also where err is not above
+        _ABSOLUTE_TOLERANCE, or the bordered matrix is singular.
         """
         graph = self._graph
         base = graph.base
@@ -819,11 +820,13 @@ class Smoother:
             X.take(keys, 0).tolist(), un_keys, graph.un[nu:].tolist(), bt_keys, graph.bt[nb:].tolist()
         )
         err = base.err + tail_err
+        if not _ABSOLUTE_TOLERANCE < err < math.inf:
+            return None
         rows = [3 * k + i for k in keys for i in range(3)]
         g = np.zeros(pattern["dim"])
         g[rows] = g_tail
         if banded:
-            band = _bordered_band(held, h) if _ABSOLUTE_TOLERANCE < err < math.inf else None
+            band = _bordered_band(held, h)
             solve = None if band is None else _band_solve(band)
         else:
             # the last marginal read's columns are Z when S is its key
@@ -837,8 +840,11 @@ class Smoother:
         """Solve the whole graph from the current estimate; on any error, change nothing.
 
         Each pass takes its step from the first source that gives a finite
-        step and a line search result: the _bordered_start on the first pass,
-        the held solve (a chord step), then a fresh factorization (Newton).
+        step and a line search result: on the first, the _bordered_start,
+        which stands in for the evaluation of X; else the held solve (a chord
+        step), then a fresh factorization (Newton). A bordered step that finds
+        no decrease starts the pass again from an evaluation, and a Newton
+        step that finds none ends the solve.
         """
         t0 = time.perf_counter()
         graph = self._graph
@@ -853,45 +859,33 @@ class Smoother:
             self._activate_pending(X)
         start = self._bordered_start(X, pattern)
         history, factorizations, bordered, done, stuck = [], 0, False, False, False
-        # the solve of the last step taken, and the one a chord step may take
-        solve = held = None
+        # the solve of the last step taken, and the chord source it gives
+        solve, chord = None, []
         # what the graph keeps of the last factorization (see _factorize); a
         # held elimination order is known before one runs
         factor = pattern["order"] if sparse and pattern["held"] else None
         while True:
             if not history:
-                # banded mode's start stands in for the evaluation of X
-                if start is not None and not sparse:
+                if start is not None:
                     (err, g, lent), terms = start, None
                 else:
                     err, terms = self._evaluate(X, pattern)
                     if not math.isfinite(err):
                         raise GaugeError(f"factor error at the start point is not finite: {err}")
-                    g, lent = None, None if start is None else start[2]
+                    g = None
                 history.append(err)
             if err <= _ABSOLUTE_TOLERANCE or done or stuck or len(history) > _MAX_ITERATIONS:
                 break
             if g is None:
                 jac = _jacobians(terms)
                 g = self._gradient(terms, jac, pattern)
-            # the pass's first source: (its solve, the bound a chord step's
+            # the pass's sources, each (its solve, the bound a chord step's
             # predicted decrease must meet, the factor on _converges's bound
-            # when its step may end the solve, whether a failed search ends
-            # it), and whether its step's solve is held for chord steps
-            if len(history) == 1:
-                # the bordered solve: H's at X in sparse mode, so a Newton
-                # step; banded mode's err and g leave the old factors out, and
-                # no chord step takes its first factor, the furthest from H at
-                # the optimum
-                source, keep = (lent, None, 1.0 if sparse else None, sparse), sparse
-            else:
-                # the held solve: in sparse mode while its predicted decrease
-                # falls geometrically, in banded mode when it would end the solve
-                bound = _CHORD_RATE * last_pred if sparse else _RELATIVE_TOLERANCE * err
-                source, keep = (held, bound, _CHORD_STOP if sparse else 1.0, False), True
-            # then a Newton step, with a fresh factorization
-            sources = ([source] if source[0] is not None else []) + [(None, None, 1.0, True)]
-            for take, bound, scale, ends in sources:
+            # when its step may end the solve): the bordered solve, H's at X
+            # in sparse mode, so a Newton step, but not banded mode's band;
+            # else the chord, then a Newton step, with a fresh factorization
+            sources = [(lent, None, 1.0 if sparse else None)] if terms is None else chord + [(None, None, 1.0)]
+            for take, bound, scale in sources:
                 if take is None:
                     take, factor = self._factorize(self._linearize(terms, jac, pattern), pattern)
                     factorizations += 1
@@ -902,22 +896,27 @@ class Smoother:
                 if np.isfinite(delta).all() if bound is None else math.isfinite(pred) and pred <= bound:
                     step = self._line_search(X, err, delta, pattern)
                     done = scale is not None and _converges(pred, err, scale)
-                    if step is not None or ends:
-                        solve, bordered = take, bordered or take is lent
+                    if step is not None:
                         break
-                if terms is None:
-                    # the next source needs the evaluation of X
-                    break
+            if step is not None:
+                # the step's solve gives a chord step: in sparse mode while its
+                # predicted decrease falls geometrically, in banded mode when
+                # it would end the solve, and never with banded mode's first
+                # factor, the furthest from H at the optimum
+                keep = sparse or len(history) > 1
+                bordered, solve = bordered or terms is None, take
+                X, err, terms = step
+                bound = _CHORD_RATE * pred if sparse else _RELATIVE_TOLERANCE * err
+                g, chord = None, [(take, bound, _CHORD_STOP if sparse else 1.0)] if keep else []
+                history.append(err)
+            elif terms is None:
+                # done is kept: a sparse bordered step, a Newton step, that
+                # predicted convergence ends the pass again at X
+                history, start = [], None
+            elif np.isfinite(delta).all():
+                solve, stuck = take, True
             else:
                 raise GaugeError("normal equations produced a non-finite step")
-            if step is not None:
-                X, err, terms = step
-                g, last_pred, held = None, pred, take if keep else None
-                history.append(err)
-            elif ends:
-                stuck = True
-            else:
-                history, start = [], None
         stop_reason = (
             "abs_tol" if err <= _ABSOLUTE_TOLERANCE else "decrement" if done else "no_descent" if stuck else "max_iterations"
         )

@@ -18,6 +18,8 @@ def test_the_working_tree_against_itself_is_bitwise_equal():
     for r in results.values():
         assert r["equal"], r["first_difference"]
         assert r["largest_difference"] == {}
+        assert r["totals"]["base"] == r["totals"]["head"]
+        assert r["totals"]["head"]["iterations"] > 0 and r["totals"]["head"]["gauge_errors"] == 0
         assert r["units"] > 0 and r["frames"] > 0
         ratio = r["wall_ratio"]
         assert ratio["q1"] <= ratio["median"] <= ratio["q3"] and 0 <= ratio["wins"] <= ratio["n"] == r["units"]
@@ -39,3 +41,4 @@ def test_a_copy_with_another_tolerance_reports_its_first_differing_frame(tmp_pat
         assert first["base"] != first["head"]
         # the estimates differ by a number, not only in shape
         assert r["largest_difference"]["final"]["difference"] > 0.0
+        assert 0.0 < r["largest_difference"]["final"]["relative"] < 1.0

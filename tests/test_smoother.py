@@ -1184,17 +1184,52 @@ def test_updates_that_do_not_append_a_frame_take_the_full_pass(build, mode):
     assert s.estimate() == twin.estimate()
 
 
-def test_bordered_step_without_descent_falls_back_to_a_full_pass():
-    s, twin = _chain(20), _chain(20)
-    for sm in (s, twin):
-        _add_frame(sm, Pose2(20, 1, 0))
-    twin._bordered_start = lambda *_: None
+def _start_point(s):
+    x = s._graph.x.copy()
+    s._activate_pending(x)
+    return x
+
+
+def _sparse_leaf_frame(s, odometry, off):
+    """Add to s a pose, odometry into it and a fix off metres in x from where the odometry puts it."""
+    pose = s.pose_estimate(odometry.key_from).compose(odometry.relative)
+    _add(s, [odometry, MeasurementFactor(odometry.key_to, Pose2(pose.x + off, pose.y, pose.theta), UNIT)])
+
+
+@pytest.mark.parametrize(
+    "mode, off", [("banded", None), ("sparse", 1.0), ("sparse", 0.0)], ids=["banded", "sparse", "sparse-converged"]
+)
+def test_bordered_step_without_descent_falls_back_to_a_full_pass(mode, off):
+    if mode == "banded":
+        s, twin = _chain(20), _chain(20)
+        for sm in (s, twin):
+            _add_frame(sm, Pose2(20, 1, 0))
+        twin._bordered_start = lambda *_: None
+    else:
+        # a leaf frame whose fix is 1 m off, so that the bordered step's
+        # prediction is far above _converges's bound and its failed search
+        # shows nothing of X, or that agrees with the estimate
+        s, twin, _, frame = _sparse_frame_after_a_marginal_read(False)
+        for sm in (s, twin):
+            _sparse_leaf_frame(sm, frame[0], off)
     _refuse_first_line_search(s)
-    assert s._bordered_start(s._graph.x.copy(), s._pattern()) is not None
+    x, pattern = _start_point(s), s._pattern()
+    err, g, solve = s._bordered_start(x, pattern)
+    converges = smoother._converges(-0.5 * float(g @ solve(-g)), err)
     report, want = s.update(), twin.update()
+    assert report.mode == mode
     assert not report.bordered
-    assert report == replace(want, duration_ms=report.duration_ms)
-    assert s.estimate() == twin.estimate()
+    if off == 0.0:
+        # sparse mode's bordered step is a Newton step: the pass it
+        # restarts ends at X
+        assert converges
+        assert (report.stop_reason, report.iterations) == ("decrement", 0)
+        assert report.error_history == (s._evaluate(x, pattern)[0],)
+        assert np.array_equal(s._graph.x, x)
+    else:
+        assert not converges
+        assert report == replace(want, duration_ms=report.duration_ms)
+        assert s.estimate() == twin.estimate()
 
 
 def test_a_frame_after_truncate_borders_the_factor_of_the_mark():
@@ -1358,7 +1393,13 @@ def test_sparse_frame_after_a_marginal_read_borders_its_solve(closure):
     s, twin, factors, frame = _sparse_frame_after_a_marginal_read(closure)
     for sm in (s, twin):
         _add(sm, frame)
+    # the base's error and the new factors' terms stand in for the evaluation
+    # of the start point
+    start, evaluated = _start_point(s), []
+    evaluate = s._evaluate
+    s._evaluate = lambda x, pattern: evaluated.append(x) or evaluate(x, pattern)
     report, want = s.update(), twin.update()
+    assert evaluated and not any(np.array_equal(x, start) for x in evaluated)
     assert report.mode == "sparse" and report.bordered and report.factorizations == 0
     assert not want.bordered and want.factorizations > 0
     # the same steps as those of a fresh factorization, to rounding

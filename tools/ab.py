@@ -20,10 +20,12 @@ the tool compares, bit for bit, the SolveReport's error_history, iterations,
 factorizations, bordered, stop_reason and mode, the newest pose's estimate
 and, on loop graphs, its marginal_sigma; per unit the final estimate, and the
 batch estimate on loop graphs or the newest pose's marginal_sigma on chains.
-It prints the first frame that differs, the largest difference of each field
-whose values have one shape on both sides, and the paired ratio of unit wall
-times, head over base: median, quartiles and the units where head was
-faster. Both sides first run one unit untimed. --repeat runs every unit that
+It prints the first frame that differs, the largest absolute and relative
+difference of each field whose values have one shape on both sides, each
+side's totals over one run of the units (iterations, factorizations,
+bordered frames and frames that raised GaugeError), and the paired ratio of
+unit wall times, head over base: median, quartiles and the units where head
+was faster. Both sides first run one unit untimed. --repeat runs every unit that
 many times on each side; --small shrinks the inputs to two 60-frame chains
 and the bench's small loop graphs. The exit code is 0 when every frame is
 equal, 1 when one differs and 2 when REF is not a revision.
@@ -148,17 +150,29 @@ def run_graph(pkg, steps):
     return wall, frames, {"final": [p.as_tuple() for p in sm.estimate().values()], "batch": batch_estimate}
 
 
-def _difference(a, b) -> float:
-    """0 when a and b are the same bit for bit, their largest absolute difference when numbers of one shape, else inf."""
+def _difference(a, b) -> tuple[float, float]:
+    """(0, 0) when a and b are the same bit for bit, their largest absolute and relative difference when numbers of one shape, else (inf, inf)."""
     if isinstance(a, (str, bool)) or isinstance(b, (str, bool)) or a is None or b is None:
-        return 0.0 if a == b else np.inf
+        return (0.0, 0.0) if a == b else (np.inf, np.inf)
     a, b = np.asarray(a, float), np.asarray(b, float)
     if a.shape != b.shape:
-        return np.inf
+        return np.inf, np.inf
     if a.tobytes() == b.tobytes():
-        return 0.0
+        return 0.0, 0.0
+    d, scale = np.abs(a - b), np.maximum(np.abs(a), np.abs(b))
+    relative = np.divide(d, scale, out=np.zeros_like(d), where=scale > 0)
     # a difference in the sign of a zero alone counts as the smallest one
-    return float(np.max(np.abs(a - b), initial=0.0)) or np.finfo(float).tiny
+    return float(np.max(d, initial=0.0)) or np.finfo(float).tiny, float(np.max(relative, initial=0.0))
+
+
+def _totals(frames: list) -> dict:
+    """The iterations, factorizations and bordered frames among frames, and the frames that raised GaugeError."""
+    return {
+        "iterations": sum(f.get("iterations", 0) for f in frames),
+        "factorizations": sum(f.get("factorizations", 0) for f in frames),
+        "bordered": sum(f.get("bordered", False) for f in frames),
+        "gauge_errors": sum("error" in f for f in frames),
+    }
 
 
 def _quartiles(values) -> dict:
@@ -170,6 +184,8 @@ def compare(base, head, run, units: list, repeat: int = 1) -> dict:
     """Run every unit on both sides, repeat times, alternating which goes first; the differences and the wall ratios."""
     first, largest = None, {}
     ratios, frames = [], 0
+    # each side's frames of the first run of the units, for the totals
+    first_run = {"base": [], "head": []}
     # an untimed run of each side first, so that no unit pays for first calls
     for pkg in (base, head):
         run(pkg, units[0])
@@ -182,16 +198,22 @@ def compare(base, head, run, units: list, repeat: int = 1) -> dict:
             (base_wall, base_frames, base_end), (head_wall, head_frames, head_end) = out["base"], out["head"]
             ratios.append(head_wall / base_wall)
             frames += len(head_frames)
+            if r == 0:
+                first_run["base"] += base_frames
+                first_run["head"] += head_frames
             records = list(enumerate(zip(base_frames, head_frames))) + [("end", (base_end, head_end))]
             if len(base_frames) != len(head_frames):
                 records.append(("count", ({"frames": len(base_frames)}, {"frames": len(head_frames)})))
             for frame, (b, h) in records:
                 for name in sorted(set(b) | set(h)):
-                    d = _difference(b.get(name), h.get(name))
+                    d, relative = _difference(b.get(name), h.get(name))
                     if d and first is None:
                         first = {"unit": u, "repeat": r, "frame": frame, "field": name, "base": b.get(name), "head": h.get(name)}
-                    if d < np.inf and d > largest.get(name, {"difference": 0.0})["difference"]:
-                        largest[name] = {"unit": u, "frame": frame, "difference": d}
+                    if 0.0 < d < np.inf:
+                        big = largest.setdefault(name, {"difference": 0.0, "relative": 0.0})
+                        if d > big["difference"]:
+                            big.update(unit=u, frame=frame, difference=d)
+                        big["relative"] = max(big["relative"], relative)
     wins = sum(x < 1.0 for x in ratios)
     return {
         "units": len(ratios),
@@ -199,6 +221,7 @@ def compare(base, head, run, units: list, repeat: int = 1) -> dict:
         "equal": first is None,
         "first_difference": first,
         "largest_difference": largest,
+        "totals": {side: _totals(side_frames) for side, side_frames in first_run.items()},
         "wall_ratio": _quartiles(ratios) | {"wins": wins, "n": len(ratios)},
     }
 
@@ -224,7 +247,12 @@ def _print(results: dict) -> None:
             f = r["first_difference"]
             print(f"  first difference: unit {f['unit']} frame {f['frame']} {f['field']}: base {f['base']!r}, head {f['head']!r}")
             for field, big in r["largest_difference"].items():
-                print(f"  largest difference in {field}: {big['difference']:.3g} (unit {big['unit']} frame {big['frame']})")
+                print(
+                    f"  largest difference in {field}: {big['difference']:.3g} (unit {big['unit']} frame {big['frame']}),"
+                    f" relative {big['relative']:.3g}"
+                )
+        for name in r["totals"]["base"]:
+            print(f"  {name} base/head: {r['totals']['base'][name]}/{r['totals']['head'][name]}")
         print(f"  wall head/base: median {w['median']:.3f} (quartiles {w['q1']:.3f}-{w['q3']:.3f}), head faster in {w['wins']}/{w['n']}")
 
 
