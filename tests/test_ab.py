@@ -14,8 +14,8 @@ PACKAGE = ROOT / "src" / "se2fusion"
 
 def test_the_working_tree_against_itself_is_bitwise_equal():
     results = ab.run_ab(PACKAGE, small=True)
-    assert set(results) == {"chains", "loop-graphs"}
-    for r in results.values():
+    assert set(results) == {"chains", "loop-graphs", "file-sessions"}
+    for name, r in results.items():
         assert r["equal"], r["first_difference"]
         assert r["largest_difference"] == {}
         assert r["totals"]["base"] == r["totals"]["head"]
@@ -23,6 +23,9 @@ def test_the_working_tree_against_itself_is_bitwise_equal():
         assert r["units"] > 0 and r["frames"] > 0
         ratio = r["wall_ratio"]
         assert ratio["q1"] <= ratio["median"] <= ratio["q3"] and 0 <= ratio["wins"] <= ratio["n"] == r["units"]
+        # the bench's frame_p50_ms statistic, of update() durations, which loop graphs' frames do not give
+        assert (r["frame_p50_ratio"] is None) == (name == "loop-graphs")
+        assert name == "loop-graphs" or r["frame_p50_ratio"] > 0.0
 
 
 def test_a_copy_with_another_tolerance_reports_its_first_differing_frame(tmp_path):

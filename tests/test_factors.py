@@ -13,7 +13,7 @@ from se2fusion import (
     PriorFactor,
     Smoother,
 )
-from se2fusion.factors import SERIES_ANGLE, _half_cot, _row_terms, _v_dlog
+from se2fusion.kernels import SERIES_ANGLE, _half_cot, _row_terms, _v_dlog
 from support import jacobian_rel_error, make_rng, random_pose
 
 UNIT = DiagonalNoise(1.0, 1.0, 1.0)

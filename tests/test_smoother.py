@@ -27,16 +27,9 @@ from se2fusion import smoother
 from se2fusion.cli import RunConfig, _driver_from_config
 from se2fusion.noise import MEASUREMENT_DEFAULT, ODOMETRY_DEFAULT, PRIOR_DEFAULT
 from se2fusion.simulate import SimConfig, generate
-from se2fusion.smoother import (
-    _ABSOLUTE_TOLERANCE,
-    _FROM_ENTRIES,
-    _MAX_ITERATIONS,
-    _RELATIVE_TOLERANCE,
-    _TO_ENTRIES,
-    _csc,
-    _frame_system,
-    _jacobians,
-)
+from se2fusion.kernels import _frame_system, _jacobians
+from se2fusion.pattern import _FROM_ENTRIES, _TO_ENTRIES, _csc, _extended_csc
+from se2fusion.smoother import _ABSOLUTE_TOLERANCE, _MAX_ITERATIONS, _RELATIVE_TOLERANCE
 from support import make_rng, pose_diff, random_pose
 
 UNIT = DiagonalNoise(1.0, 1.0, 1.0)
@@ -1345,8 +1338,8 @@ def test_leaf_frame_patterns_match_a_rebuild_in_their_order(monkeypatch):
     # every frame reads the newest pose's marginal, so each base holds the
     # elimination order of a factorization
     extended = []
-    extend = smoother._extended_csc
-    monkeypatch.setattr(smoother, "_extended_csc", lambda *args: extended.append(None) or extend(*args))
+    extend = _extended_csc
+    monkeypatch.setattr("se2fusion.pattern._extended_csc", lambda *args: extended.append(None) or extend(*args))
     s = Smoother()
     for k, factors in enumerate(_loop_graph_frames(131, 120)):
         _add(s, factors)

@@ -13,22 +13,29 @@ Both sides run the same units, each input rebuilt with the side's own classes
   commands do;
 - loop graphs: the 12 graphs of bench/run.py's loop-graphs workload for seed
   1, built frame by frame through the Smoother API with a marginal_sigma and
-  pose_estimate read per frame, then solved in one batch.
+  pose_estimate read per frame, then solved in one batch;
+- file-sessions: the 48 sessions of 100-300 frames of bench/run.py's
+  file-sessions workload for seed 1 (simulator seeds 48-95), fed through the
+  driver as the chains are; the CSV round trip of the bench's simulate and
+  fuse commands is lossless, so these are the fuse command's inputs.
 
 Base and head alternate which goes first from one unit to the next. Per frame
 the tool compares, bit for bit, the SolveReport's error_history, iterations,
 factorizations, bordered, stop_reason and mode, the newest pose's estimate
 and, on loop graphs, its marginal_sigma; per unit the final estimate, and the
-batch estimate on loop graphs or the newest pose's marginal_sigma on chains.
-It prints the first frame that differs, the largest absolute and relative
-difference of each field whose values have one shape on both sides, each
-side's totals over one run of the units (iterations, factorizations,
+batch estimate on loop graphs or the newest pose's marginal_sigma on the
+others. It prints the first frame that differs, the largest absolute and
+relative difference of each field whose values have one shape on both sides,
+each side's totals over one run of the units (iterations, factorizations,
 bordered frames and frames that raised GaugeError), and the paired ratio of
 unit wall times, head over base: median, quartiles and the units where head
-was faster. Both sides first run one unit untimed. --repeat runs every unit that
-many times on each side; --small shrinks the inputs to two 60-frame chains
-and the bench's small loop graphs. The exit code is 0 when every frame is
-equal, 1 when one differs and 2 when REF is not a revision.
+was faster. On chains and file-sessions it also gives the bench's
+frame_p50_ms, the 75th percentile over units of each unit's median update()
+duration_ms, head over base. Both sides first run one unit untimed. --repeat
+runs every unit that many times on each side; --small shrinks the inputs to
+two 60-frame chains and the bench's small loop graphs and file sessions. The
+exit code is 0 when every frame is equal, 1 when one differs and 2 when REF
+is not a revision.
 """
 
 from __future__ import annotations
@@ -52,10 +59,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import se2fusion  # noqa: E402
-from workloads import LoopGraphs  # noqa: E402
+from workloads import FileSessions, LoopGraphs  # noqa: E402
 
 # the units: CHAINS chains of N_FRAMES frames from simulator seed FIRST_SEED
-# on, and the loop-graphs graphs of bench seed GRAPH_SEED
+# on, and the loop-graphs graphs and file-sessions sessions of bench seed
+# GRAPH_SEED
 CHAINS, FIRST_SEED, N_FRAMES, GRAPH_SEED = 8, 16, 600, 1
 
 _names = itertools.count()
@@ -99,25 +107,26 @@ def _report(report) -> dict:
 
 
 def run_chain(pkg, inputs):
-    """Wall seconds, per-frame records and the end record of one chain on the side pkg."""
+    """Wall seconds, per-frame records, the end record and the update() durations in ms of one chain on the side pkg."""
     prior, odometry, fixes = inputs
     t0 = time.perf_counter()
     driver = pkg.cli._driver_from_config(pkg.cli.RunConfig())
     driver.set_prior(pkg.Pose2(*prior))
     for ts, delta in odometry:
         driver.add_odometry(pkg.OdometrySample(ts, pkg.Pose2(*delta)))
-    frames = []
+    frames, durations = [], []
     for ts, fix in fixes:
         report = driver.add_measurement(ts, pkg.Pose2(*fix))
         frames.append(_report(report) | {"pose": driver.online[-1].as_tuple()})
+        durations.append(report.duration_ms)
     wall = time.perf_counter() - t0
     sm = driver.smoother
     end = {"final": [p.as_tuple() for p in sm.estimate().values()], "sigma": sm.marginal_sigma(len(fixes) - 1)}
-    return wall, frames, end
+    return wall, frames, end, durations
 
 
 def run_graph(pkg, steps):
-    """Wall seconds, per-frame records and the end record of one loop graph on the side pkg, as the bench runs it."""
+    """Wall seconds, per-frame records, the end record and None for durations, as the bench times a whole frame here, of one loop graph on the side pkg, as the bench runs it."""
 
     def build(spec):
         kind, keys, value, sigmas = spec
@@ -147,7 +156,7 @@ def run_graph(pkg, steps):
     except pkg.GaugeError:
         batch_estimate = None
     wall = time.perf_counter() - t0
-    return wall, frames, {"final": [p.as_tuple() for p in sm.estimate().values()], "batch": batch_estimate}
+    return wall, frames, {"final": [p.as_tuple() for p in sm.estimate().values()], "batch": batch_estimate}, None
 
 
 def _difference(a, b) -> tuple[float, float]:
@@ -181,9 +190,11 @@ def _quartiles(values) -> dict:
 
 
 def compare(base, head, run, units: list, repeat: int = 1) -> dict:
-    """Run every unit on both sides, repeat times, alternating which goes first; the differences and the wall ratios."""
+    """Run every unit on both sides, repeat times, alternating which goes first; the differences and the wall and frame_p50_ms ratios."""
     first, largest = None, {}
     ratios, frames = [], 0
+    # each side's median update() duration of every unit run that gives durations
+    medians = {"base": [], "head": []}
     # each side's frames of the first run of the units, for the totals
     first_run = {"base": [], "head": []}
     # an untimed run of each side first, so that no unit pays for first calls
@@ -195,8 +206,11 @@ def compare(base, head, run, units: list, repeat: int = 1) -> dict:
             for side in ("base", "head") if len(ratios) % 2 == 0 else ("head", "base"):
                 gc.collect()
                 out[side] = run(base if side == "base" else head, inputs)
-            (base_wall, base_frames, base_end), (head_wall, head_frames, head_end) = out["base"], out["head"]
+            (base_wall, base_frames, base_end, _), (head_wall, head_frames, head_end, _) = out["base"], out["head"]
             ratios.append(head_wall / base_wall)
+            for side, (*_, durations) in out.items():
+                if durations:
+                    medians[side].append(float(np.median(durations)))
             frames += len(head_frames)
             if r == 0:
                 first_run["base"] += base_frames
@@ -215,6 +229,8 @@ def compare(base, head, run, units: list, repeat: int = 1) -> dict:
                             big.update(unit=u, frame=frame, difference=d)
                         big["relative"] = max(big["relative"], relative)
     wins = sum(x < 1.0 for x in ratios)
+    # the bench's frame_p50_ms: the 75th percentile over units of the unit medians
+    p50 = {side: np.percentile(m, 75) if m else None for side, m in medians.items()}
     return {
         "units": len(ratios),
         "frames": frames,
@@ -223,18 +239,23 @@ def compare(base, head, run, units: list, repeat: int = 1) -> dict:
         "largest_difference": largest,
         "totals": {side: _totals(side_frames) for side, side_frames in first_run.items()},
         "wall_ratio": _quartiles(ratios) | {"wins": wins, "n": len(ratios)},
+        "frame_p50_ratio": None if p50["head"] is None else float(p50["head"] / p50["base"]),
     }
 
 
 def run_ab(base_dir: Path, repeat: int = 1, small: bool = False) -> dict:
-    """compare() on chains and loop graphs for the package in base_dir against the working tree's."""
+    """compare() on chains, loop graphs and file sessions for the package in base_dir against the working tree's."""
     base, head = load_package(Path(base_dir)), se2fusion
     importlib.import_module("se2fusion.cli")
     chains, n_frames = (2, 60) if small else (CHAINS, N_FRAMES)
     chain_units = [chain_inputs(FIRST_SEED + i, n_frames) for i in range(chains)]
+    with tempfile.TemporaryDirectory() as tmp:
+        sessions = FileSessions(small).setup(GRAPH_SEED, Path(tmp))
+    session_units = [chain_inputs(s.seed, s.n_frames) for s in sessions]
     return {
         "chains": compare(base, head, run_chain, chain_units, repeat),
         "loop-graphs": compare(base, head, run_graph, graph_inputs(GRAPH_SEED, small), repeat),
+        "file-sessions": compare(base, head, run_chain, session_units, repeat),
     }
 
 
@@ -254,13 +275,15 @@ def _print(results: dict) -> None:
         for name in r["totals"]["base"]:
             print(f"  {name} base/head: {r['totals']['base'][name]}/{r['totals']['head'][name]}")
         print(f"  wall head/base: median {w['median']:.3f} (quartiles {w['q1']:.3f}-{w['q3']:.3f}), head faster in {w['wins']}/{w['n']}")
+        if r["frame_p50_ratio"] is not None:
+            print(f"  frame_p50_ms head/base: {r['frame_p50_ratio']:.3f}")
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision whose src/se2fusion is the base")
     ap.add_argument("--repeat", type=int, default=1, help="runs of every unit on each side (default 1)")
-    ap.add_argument("--small", action="store_true", help="two 60-frame chains and the bench's small loop graphs")
+    ap.add_argument("--small", action="store_true", help="two 60-frame chains and the bench's small loop graphs and file sessions")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
