@@ -69,15 +69,15 @@ class RunConfig:
     """
 
     seed: int = _option(0, "sim")
-    n_frames: int = _option(1000, "sim")
-    odom_rate_multiplier: int = _option(5, "sim")
-    extent: tuple[float, float] = _option((300.0, 150.0), "sim", "W,H")
-    mean_speed: float = _option(1.0, "sim")
-    measurement_noise: tuple[float, float, float] = _sigmas(MEASUREMENT_DEFAULT, "sim")
-    odometry_step_noise: tuple[float, float, float] = _sigmas(ODOMETRY_DEFAULT, "sim")
-    outlier_rate: float = _option(0.05, "sim")
-    outlier_sigma_scale: float = _option(4.0, "sim")
-    bad_prior_offset: tuple[float, float, float] | None = _option(None, "sim", "X,Y,THETA", Pose2)
+    n_frames: int = _option(SimConfig.n_frames, "sim")
+    odom_rate_multiplier: int = _option(SimConfig.odom_rate_multiplier, "sim")
+    extent: tuple[float, float] = _option(SimConfig.extent, "sim", "W,H")
+    mean_speed: float = _option(SimConfig.mean_speed, "sim")
+    measurement_noise: tuple[float, float, float] = _sigmas(SimConfig.measurement_noise, "sim")
+    odometry_step_noise: tuple[float, float, float] = _sigmas(SimConfig.odometry_step_noise, "sim")
+    outlier_rate: float = _option(SimConfig.outlier_rate, "sim")
+    outlier_sigma_scale: float = _option(SimConfig.outlier_sigma_scale, "sim")
+    bad_prior_offset: tuple[float, float, float] | None = _option(SimConfig.bad_prior_offset, "sim", "X,Y,THETA", Pose2)
     measurement_sigmas: tuple[float, float, float] = _sigmas(MEASUREMENT_DEFAULT, "fuse")
     odometry_sigmas: tuple[float, float, float] = _sigmas(ODOMETRY_DEFAULT, "fuse")
     prior_sigmas: tuple[float, float, float] = _sigmas(PRIOR_DEFAULT, "fuse")

@@ -91,15 +91,15 @@ def _leaf_base(g: _Graph) -> _Graph | None:
     """g's base when g is a leaf frame of it and it holds an elimination order, else None.
 
     A leaf frame adds one pose, unary factors on it and one between factor,
-    odometry from the pose before.
+    odometry from the pose before. A banded base's factor is a band.
     """
     base = g.base
-    if base is None or base.order is None or len(g.x) != len(base.x) + 1 or len(g.bt) != len(base.bt) + 1:
+    if base is None or base.factor is None or base.pattern["mode"] == "banded":
         return None
     n = len(base.x)
-    if g.bt_keys[0, -1] != n - 1 or g.bt_keys[1, -1] != n or (g.un_keys[len(base.un_keys) :] != n).any():
+    if len(g.x) != n + 1 or len(g.bt) != len(base.bt) + 1 or g.bt_keys[0, -1] != n - 1 or g.bt_keys[1, -1] != n:
         return None
-    return base
+    return None if (g.un_keys[len(base.un_keys) :] != n).any() else base
 
 
 def _csc(side_keys: tuple, bt_keys: np.ndarray, order: np.ndarray) -> dict:
@@ -199,11 +199,11 @@ def build(g: _Graph) -> dict:
         base = _leaf_base(g)
         if base is None:
             p.update(_csc(side_keys, g.bt_keys, np.arange(len(g.x))), held=False)
-        elif base.order is base.pattern["order"]:
+        elif base.factor is base.pattern["order"]:
             m = len(g.un_keys) - len(base.un_keys)
             p.update(_extended_csc(base.pattern, len(base.un_keys), len(base.bt), m), held=True)
         else:
-            p.update(_csc(side_keys, g.bt_keys, np.r_[len(base.x), base.order]), held=True)
+            p.update(_csc(side_keys, g.bt_keys, np.r_[len(base.x), base.factor]), held=True)
         p["dof"] = (3 * p["order"][:, None] + _G3).ravel()
     # g: the rows of the block of the key measured or the to key, then of the from key
     p["g_rows"] = np.concatenate([(3 * k + _G3[:, None]).ravel() for k in side_keys])

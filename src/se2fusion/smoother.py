@@ -16,25 +16,27 @@ as its factorization dominates the solve. Banded mode's factor is cheap, so
 it takes a chord step only to confirm convergence, never with the first
 step's factor, which is the furthest from H at the optimum.
 
-An update that adds one pose to a graph that holds a factor of its H at its
-estimate starts from that base (_bordered_start): err is the base's error
-plus the new factors', g the new factors' gradient, as the base converged,
-and the first step's factor the held one bordered by the new pose, with the
-new factors' H on the old keys S they touch and the new pose from
-_frame_system (Python floats, kernels.py's _row_terms). A bordered step that
-finds no decrease starts the pass again from an evaluation. A chain frame
-changes only the last rows of the band factor (Kaess, Ranganathan and
-Dellaert, iSAM, IEEE T-RO 2008), so banded mode extends it by a 6x6 Cholesky
-of the trailing block (Golub and Van Loan, Matrix Computations, 4.3). Sparse
-mode borders the exact solve a marginal read leaves: the new pose by a 3x3
-Schur complement, the rank-3|S| change on S by the Sherman-Morrison-Woodbury
-form (Hager, Updating the Inverse of a Matrix, SIAM Review 1989). That solve
-is H's at X, so its step is a Newton step that may end the solve, and the
-read's factorization the frame's only one; the band factor is not, so a
-chain frame's step never ends it. Any other change takes the full first step.
+An update that adds one pose to a graph that holds a factor of its H starts
+from that base (_bordered_start): err is the base's error plus the new
+factors', g the new factors' gradient, as the base converged, and the first
+step's factor the held one bordered by the new pose, with the new factors' H
+on the old keys S they touch and the new pose from _frame_system (Python
+floats, kernels.py's _row_terms). A bordered step that finds no decrease
+starts the pass again from an evaluation. A chain frame changes only the
+last rows of the band factor (Kaess, Ranganathan and Dellaert, iSAM, IEEE
+T-RO 2008), so banded mode extends it by a 6x6 Cholesky of the trailing
+block (Golub and Van Loan, Matrix Computations, 4.3). Sparse mode borders an
+exact solve, whichever mode left it: the new pose by a 3x3 Schur complement,
+the rank-3|S| change on S by the Sherman-Morrison-Woodbury form (Hager,
+Updating the Inverse of a Matrix, SIAM Review 1989). A marginal read, or an
+update that took no step, leaves the solve of H at the estimate and its
+factor; bordered, they give a Newton step, which may end the solve, so the
+read's factorization is the frame's only one. The band factor an update
+leaves is H's before its last step, so a step from it never ends the solve.
+Any other change takes the full first step.
 
 The graph and the estimate are one immutable snapshot, a _Graph, and what
-is derived from it, the index pattern, the band factor and what marginal
+is derived from it, the index pattern, the held factor and what marginal
 reads reuse, lives on the same _Graph, so no cache needs a check (Driscoll,
 Sarnak, Sleator and Tarjan, Making Data Structures Persistent, JCSS 1989).
 checkpoint() returns the snapshot in O(1), and truncate() puts any mark back.
@@ -101,9 +103,9 @@ class SolveReport:
     # abs_tol or decrement (see _converges) when the solve converged,
     # no_descent or max_iterations when it did not
     stop_reason: str = ""
-    # whether the first pass took its step from the factor held from before
-    # the new pose, bordered by it (see _bordered_start); factorizations
-    # counts only full ones
+    # whether the first pass took its step from what the base held, its band
+    # factor or its solve, bordered by the new pose (see _bordered_start);
+    # factorizations counts only full ones
     bordered: bool = False
     # banded or sparse
     mode: str = ""
@@ -136,12 +138,11 @@ class _Graph(NamedTuple):
     empty one, and None for those two.
 
     The rest is derived, dropped by an addition and all set by update() on
-    the graph it commits: the _pattern, err at the estimate, band, its last
-    full band factor, for marginals the estimate's residual terms or their
-    solve, which _marginal_solve puts in their place, order, the key
-    elimination order of its last sparse factorization, which leaf frames
-    keep, and columns, the last marginal read's key and its columns of
-    H^-1, which _bordered_start reuses.
+    the graph it commits: the _pattern, err at the estimate, factor, what
+    its last full factorization leaves (see _factorize), for marginals the
+    estimate's residual terms or their solve, which _marginal_solve puts in
+    their place, with its factor, and columns, the last marginal read's key
+    and its columns of H^-1, which _bordered_start reuses.
     """
 
     x: np.ndarray = np.zeros((0, 3))
@@ -154,10 +155,9 @@ class _Graph(NamedTuple):
     base: _Graph | None = None
     pattern: dict | None = None
     err: float | None = None
-    band: np.ndarray | None = None
+    factor: np.ndarray | None = None
     terms: tuple | None = None
     solve: Callable | None = None
-    order: np.ndarray | None = None
     columns: tuple | None = None
 
     def added(self, **fields) -> _Graph:
@@ -446,9 +446,10 @@ class Smoother:
     def _bordered_start(self, X: np.ndarray, pattern: dict):
         """(err, g, solve) at X from the base graph's factor bordered by the newest pose (see above), or None.
 
-        It needs a base that holds a factor of its H at its estimate in this
-        graph's mode, and additions of one pose and of factors on it and the
-        old keys S, which in banded mode are at most the pose before. The old
+        It needs a base that holds a band factor in banded mode, and the
+        solve of its H at its estimate, whichever mode left it, in sparse
+        mode, and additions of one pose and of factors on it and the old
+        keys S, which in banded mode are at most the pose before. The old
         factors' error at X is then the base's, and their gradient about
         zero, as its update converged: err adds the new factors' error to
         base.err, and g is theirs. None also where err is not above
@@ -457,10 +458,10 @@ class Smoother:
         graph = self._graph
         base = graph.base
         banded = pattern["mode"] == "banded"
-        held = None if base is None else base.band if banded else base.solve
+        held = None if base is None else base.factor if banded else base.solve
         # additions alone keep the base's rows and its estimate, with every
         # pending key a new one
-        if held is None or base.pattern["mode"] != pattern["mode"] or len(graph.x) != len(base.x) + 1:
+        if held is None or len(graph.x) != len(base.x) + 1:
             return None
         n, nu, nb = len(base.x), len(base.un_keys), len(base.bt)
         un_keys, bt_keys = graph.un_keys[nu:].tolist(), graph.bt_keys[:, nb:].T.tolist()
@@ -519,7 +520,7 @@ class Smoother:
         solve, chord = None, []
         # what the graph keeps of the last factorization (see _factorize); a
         # held elimination order is known before one runs
-        factor = pattern["order"] if sparse and pattern["held"] else None
+        factor = pattern["order"] if pattern.get("held") else None
         while True:
             if not history:
                 if start is not None:
@@ -537,10 +538,11 @@ class Smoother:
                 g = self._gradient(terms, jac, pattern)
             # the pass's sources, each (its solve, the bound a chord step's
             # predicted decrease must meet, the factor on _converges's bound
-            # when its step may end the solve): the bordered solve, H's at X
-            # in sparse mode, so a Newton step, but not banded mode's band;
-            # else the chord, then a Newton step, with a fresh factorization
-            sources = [(lent, None, 1.0 if sparse else None)] if terms is None else chord + [(None, None, 1.0)]
+            # when its step may end the solve): the bordered solve, whose step
+            # is a Newton step when the base holds a solve, H's at its
+            # estimate, but not from the band factor an update left; else the
+            # chord, then a Newton step, with a fresh factorization
+            sources = [(lent, None, None if graph.base.solve is None else 1.0)] if terms is None else chord + [(None, None, 1.0)]
             for take, bound, scale in sources:
                 if take is None:
                     take, factor = self._factorize(self._linearize(terms, jac, pattern), pattern)
@@ -566,8 +568,8 @@ class Smoother:
                 g, chord = None, [(take, bound, _CHORD_STOP if sparse else 1.0)] if keep else []
                 history.append(err)
             elif terms is None:
-                # done is kept: a sparse bordered step, a Newton step, that
-                # predicted convergence ends the pass again at X
+                # done is kept: a bordered step from a held solve, a Newton
+                # step, that predicted convergence ends the pass again at X
                 history, start = [], None
             elif np.isfinite(delta).all():
                 solve, stuck = take, True
@@ -582,14 +584,12 @@ class Smoother:
             solve, factor = self._factorize(self._linearize(terms, _jacobians(terms), pattern), pattern)
             factorizations += 1
         iterations = len(history) - 1
-        # every derived field, none inherited: band is a full factor only, and
-        # for marginals the solve of a factorization only if no step moved the
-        # estimate since, else the estimate's residual terms
+        # every derived field, none inherited: factor is a full
+        # factorization's only, and for marginals the solve of a
+        # factorization only if no step moved the estimate since, else the
+        # estimate's residual terms
         terms, solve = (None, solve) if iterations == 0 and not bordered else (terms, None)
-        band, order = (None, factor) if sparse else (factor, None)
-        self._graph = _Graph(
-            X, (), len(X), *graph[3:7], pattern=pattern, err=err, band=band, terms=terms, solve=solve, order=order
-        )
+        self._graph = _Graph(X, (), len(X), *graph[3:7], pattern=pattern, err=err, factor=factor, terms=terms, solve=solve)
         return SolveReport(
             iterations=iterations,
             initial_error=history[0],
@@ -617,8 +617,7 @@ class Smoother:
             pattern = self._pattern()
             terms = g.terms if g.terms is not None else self._evaluate(g.x, pattern)[1]
             solve, factor = self._factorize(self._linearize(terms, _jacobians(terms), pattern), pattern)
-            order = factor if pattern["mode"] == "sparse" else None
-            self._graph = g = g._replace(terms=None, solve=solve, order=order)
+            self._graph = g = g._replace(terms=None, solve=solve, factor=factor)
         return g.solve
 
     def marginal_sigma(self, key: int) -> tuple[float, float, float]:

@@ -9,8 +9,9 @@ from dataclasses import fields, replace
 import pytest
 
 from se2fusion import Pose2, read_trajectory_csv
-from se2fusion.cli import RunConfig, _resolve_config, build_parser
+from se2fusion.cli import RunConfig, _resolve_config, _sim_config, build_parser
 from se2fusion.cli import main as cli_main
+from se2fusion.simulate import SimConfig
 from support import pose_diff
 
 SIM_FILES = ("ground_truth.csv", "measurements.csv", "odometry.csv", "prior.json")
@@ -513,6 +514,10 @@ def test_config_null_offset_is_the_default(tmp_path):
     cfg.write_text(json.dumps({"bad_prior_offset": None, "extent": [300, 150]}))
     resolved = _resolve_config(build_parser().parse_args(["pipeline", "--config", str(cfg)]))
     assert repr(resolved) == repr(RunConfig())
+
+
+def test_default_sim_options_are_the_simulators_defaults():
+    assert _sim_config(RunConfig()) == SimConfig(seed=0)
 
 
 # ---- exit codes --------------------------------------------------------------

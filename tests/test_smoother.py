@@ -842,8 +842,11 @@ def test_truncate_returns_to_the_checkpoint():
         _solve_pending_pair(sm, a)
     assert s.estimate() == fresh.estimate()
 
-    # a solved loop closure flips to sparse; dropping it returns to the band
+    # a solved loop closure flips to sparse; dropping it returns to the band.
+    # fresh reads the marginal s reads, so that both grow from the same held
+    # factor
     estimate, sigma = s.estimate(), s.marginal_sigma(a)
+    fresh.marginal_sigma(a)
     mark = s.checkpoint()
     k = s.add_variable()
     s.add_factor(BetweenFactor(0, k, Pose2(k, 0.0, 0.0), UNIT))
@@ -1024,7 +1027,7 @@ def test_bordered_factor_matches_a_full_factorization(mode, seed):
     held_err, terms = s._evaluate(s._graph.x, pattern)
     system, g_held = linearize(s, terms, pattern)
     if mode == "banded":
-        s._graph = s._graph._replace(band=s._factorize(system, pattern)[1], err=held_err)
+        s._graph = s._graph._replace(factor=s._factorize(system, pattern)[1], err=held_err)
         _add_frame(s, sim.measurements[300][1])
     else:
         assert s._graph.solve is not None and s._graph.err == pytest.approx(held_err, rel=1e-12)
@@ -1043,7 +1046,7 @@ def test_bordered_factor_matches_a_full_factorization(mode, seed):
         gr, base = s._graph, s._graph.base
         nu, nb = len(base.un_keys), len(base.bt)
         _, _, h = _frame_system(x[-2:].tolist(), [1] * (len(gr.un) - nu), gr.un[nu:].tolist(), [(0, 1)], gr.bt[nb:].tolist())
-        band = smoother._bordered_band(base.band, h)
+        band = smoother._bordered_band(base.factor, h)
         assert band.shape == want_factor.shape
         assert np.max(np.abs(band - want_factor)) <= 1e-12 * np.max(np.abs(want_factor))
     assert err == pytest.approx(want_err, rel=1e-12)
@@ -1146,10 +1149,10 @@ def _loop_closure(s):
     return s
 
 
-def _read_then_loop_closure(s):
-    # the banded base holds the solve of a marginal read, but the frame turns
-    # the graph sparse, whose bordered start needs a sparse base
-    s.marginal_sigma(19)
+def _unsolved_loop_closure(s):
+    # _chain(20)'s update took no step, so its graph holds the solve of H at
+    # its estimate; without it a sparse frame has nothing to border
+    s._graph = s._graph._replace(solve=None)
     return _loop_closure(s)
 
 
@@ -1160,10 +1163,9 @@ def _read_then_loop_closure(s):
         (_branch, "banded"),
         (_old_key, "banded"),
         (_wider_band, "banded"),
-        (_loop_closure, "sparse"),
-        (_read_then_loop_closure, "sparse"),
+        (_unsolved_loop_closure, "sparse"),
     ],
-    ids=["first-update", "truncate-then-branch", "factor-on-an-old-key", "wider-band", "sparse", "banded-solve-then-sparse"],
+    ids=["first-update", "truncate-then-branch", "factor-on-an-old-key", "wider-band", "sparse"],
 )
 def test_updates_that_do_not_append_a_frame_take_the_full_pass(build, mode):
     s = build(_chain(20))
@@ -1242,19 +1244,24 @@ def test_a_frame_after_truncate_borders_the_factor_of_the_mark():
     assert s.estimate() == twin.estimate()
 
 
-def test_a_bordered_step_does_not_end_the_solve():
+@pytest.mark.parametrize("read", [False, True], ids=["no-read", "after-a-read"])
+def test_a_bordered_step_ends_the_solve_only_from_a_held_solve(read):
     # a frame whose odometry and fix agree with the estimate: the bordered
-    # step predicts about no decrease, but its gradient is the new factors'
-    # alone, so a Gauss-Newton step follows
+    # step predicts about no decrease. The band factor the base's update
+    # left is not H's at its estimate, so its gradient, the new factors'
+    # alone, ends nothing and a Gauss-Newton step follows; the band of a
+    # marginal read is, so the bordered step is a Newton step and ends it
     s = _chain(20)
     _add_frame(s, Pose2(20, 1, 0))
     s.update()
+    if read:
+        s.marginal_sigma(20)
     relative = Pose2(1.0, 0.0, 0.05)
     _add_frame(s, s.pose_estimate(20).compose(relative), relative)
     report = s.update()
     assert report.bordered
     assert report.stop_reason == "decrement"
-    assert (report.iterations, report.factorizations) == (2, 1)
+    assert (report.iterations, report.factorizations) == ((1, 0) if read else (2, 1))
 
 
 def test_default_chains_border_every_frame_after_the_first_two():
@@ -1346,7 +1353,7 @@ def test_leaf_frame_patterns_match_a_rebuild_in_their_order(monkeypatch):
         g, count = s._graph, len(extended)
         pattern = s._pattern()
         if len(extended) > count:
-            assert np.array_equal(pattern["order"], np.r_[k, g.base.order])
+            assert np.array_equal(pattern["order"], np.r_[k, g.base.factor])
             side_keys = (np.concatenate([g.un_keys, g.bt_keys[1]]), g.bt_keys[0])
             for name, want in _csc(side_keys, g.bt_keys, pattern["order"]).items():
                 got = pattern[name]
@@ -1401,6 +1408,36 @@ def test_sparse_frame_after_a_marginal_read_borders_its_solve(closure):
     h, _ = dense_normal_equations(61, factors, s.estimate())
     cov = np.linalg.inv(h)
     for k in (0, 59, 60):
+        want_sigma = np.sqrt(np.diag(cov)[3 * k : 3 * k + 3])
+        assert np.allclose(s.marginal_sigma(k), want_sigma, atol=0.0, rtol=1e-8)
+
+
+def _read_then_loop_closure(s):
+    s.marginal_sigma(19)
+    return _loop_closure(s)
+
+
+@pytest.mark.parametrize("build", [_loop_closure, _read_then_loop_closure], ids=["no-step", "marginal-read"])
+def test_loop_closure_after_a_banded_solve_borders_it(build):
+    # the banded base holds the solve of its H at its estimate, which
+    # _chain(20)'s update left, as it took no step, or a marginal read did:
+    # a loop closure borders it as it borders a sparse base's
+    s, twin = build(_chain(20)), build(_chain(20))
+    twin._bordered_start = lambda *_: None
+    report, _ = s.update(), twin.update()
+    assert report.mode == "sparse" and report.bordered and report.factorizations == 0
+    got, full = s.estimate(), twin.estimate()
+    assert max(pose_diff(got[k], full[k]) for k in got) < 1e-9
+    # the factors of _chain(20), then those of the frame _loop_closure adds
+    factors = [MeasurementFactor(k, Pose2(k, 0, 0), UNIT) for k in range(20)]
+    factors += [BetweenFactor(k - 1, k, Pose2(1, 0, 0), UNIT) for k in range(1, 20)]
+    factors += [
+        BetweenFactor(19, 20, Pose2(1.0, 0.0, 0.05), ODOMETRY_DEFAULT),
+        MeasurementFactor(20, Pose2(20, 1, 0), MEASUREMENT_DEFAULT),
+        BetweenFactor(0, 20, Pose2(20, 0, 0), UNIT),
+    ]
+    cov = np.linalg.inv(dense_normal_equations(21, factors, got)[0])
+    for k in (0, 19, 20):
         want_sigma = np.sqrt(np.diag(cov)[3 * k : 3 * k + 3])
         assert np.allclose(s.marginal_sigma(k), want_sigma, atol=0.0, rtol=1e-8)
 

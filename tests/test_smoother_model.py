@@ -15,10 +15,11 @@ smoother holds, and checks five things:
 - an update() whose first step was bordered starts from a graph that
   appends one pose to its base, with the base's poses still where its
   update left them; in banded mode the new factors lie on that pose and the
-  pose before, and a banded update that factorized committed the base; in
-  sparse mode the base holds the solve of its H at its estimate, as the
-  dense normal equations give it; later steps would correct the first step
-  of a stale factor, so only this shows one;
+  pose before, and the base holds a solve and a band factor L with L L^T
+  the dense normal equations' H at its estimate, or a banded update that
+  factorized committed it; in sparse mode the base holds the solve of its H
+  at its estimate, as the dense normal equations give it; later steps would
+  correct the first step of a stale factor, so only this shows one;
 - a sparse update() of a leaf frame, one pose, fixes on it and odometry
   into it from the pose before, added to a base that holds an elimination
   order, keeps that order with the new key first;
@@ -241,21 +242,27 @@ class SmootherModel(RuleBasedStateMachine):
             for name in ("un_keys", "un", "bt"):
                 assert np.array_equal(getattr(start, name)[: len(getattr(held, name))], getattr(held, name))
             assert np.array_equal(start.bt_keys[:, :nb], held.bt_keys)
+            # the base's factors come first in each kind
+            unary = [f for f in self.factors if not isinstance(f, BetweenFactor)][:nu]
+            between = [f for f in self.factors if isinstance(f, BetweenFactor)][:nb]
+            if held.solve is not None:
+                h, _ = dense_normal_equations(n, unary + between, {k: Pose2(*held.x[k]) for k in range(n)})
             if report.mode == "banded":
                 # the new factors on the base's last pose and the new one
-                assert state(held) in self.factorized
                 assert min(start.un_keys[nu:].min(initial=n), start.bt_keys[:, nb:].min(initial=n)) >= n - 1
+                if held.solve is None:
+                    assert state(held) in self.factorized
+                else:
+                    # row i of the lower band holds L's i-th subdiagonal
+                    low = sum(np.diag(band[: 3 * n - i], -i) for i, band in enumerate(held.factor))
+                    assert np.allclose(low @ low.T, h, rtol=0.0, atol=1e-8)
             else:
-                # the base's factors come first in each kind
-                unary = [f for f in self.factors if not isinstance(f, BetweenFactor)][:nu]
-                between = [f for f in self.factors if isinstance(f, BetweenFactor)][:nb]
-                h, _ = dense_normal_equations(n, unary + between, {k: Pose2(*held.x[k]) for k in range(n)})
                 assert np.allclose(held.solve(h), np.eye(3 * n), rtol=0.0, atol=1e-8)
-        if report.mode == "sparse" and held is not None and held.order is not None and len(x0) == len(held.x) + 1:
+        if report.mode == "sparse" and held is not None and held.factor is not None and len(x0) == len(held.x) + 1:
             n, nu, nb = len(held.x), len(held.un_keys), len(held.bt)
             new_between = start.bt_keys[:, nb:].T.tolist()
             if new_between == [[n - 1, n]] and (start.un_keys[nu:] == n).all():
-                assert np.array_equal(self.s._graph.pattern["order"], np.r_[n, held.order])
+                assert np.array_equal(self.s._graph.pattern["order"], np.r_[n, held.factor])
         if report.mode == "banded" and report.factorizations:
             self.factorized.add(state(self.s._graph))
         return True

@@ -19,8 +19,12 @@ Both sides run the same units, each input rebuilt with the side's own classes
   driver as the chains are; the CSV round trip of the bench's simulate and
   fuse commands is lossless, so these are the fuse command's inputs.
 
-Base and head alternate which goes first from one unit to the next. Per frame
-the tool compares, bit for bit, the SolveReport's error_history, iterations,
+Base and head run each unit in lockstep, one step each: the set-up, then one
+frame at a time, then on loop graphs the batch solve. Which side goes first
+alternates from one step to the next, so that a drift of the host's speed
+falls on both sides alike, and a side's unit wall is the sum of its own step
+times; the end record read after the last step is not timed. Per frame the
+tool compares, bit for bit, the SolveReport's error_history, iterations,
 factorizations, bordered, stop_reason and mode, the newest pose's estimate
 and, on loop graphs, its marginal_sigma; per unit the final estimate, and the
 batch estimate on loop graphs or the newest pose's marginal_sigma on the
@@ -107,34 +111,34 @@ def _report(report) -> dict:
 
 
 def run_chain(pkg, inputs):
-    """Wall seconds, per-frame records, the end record and the update() durations in ms of one chain on the side pkg."""
+    """One chain on the side pkg, a step to each yield: the set-up, then one frame each; returns the per-frame records, the end record and the update() durations in ms."""
     prior, odometry, fixes = inputs
-    t0 = time.perf_counter()
     driver = pkg.cli._driver_from_config(pkg.cli.RunConfig())
     driver.set_prior(pkg.Pose2(*prior))
     for ts, delta in odometry:
         driver.add_odometry(pkg.OdometrySample(ts, pkg.Pose2(*delta)))
     frames, durations = [], []
+    yield
     for ts, fix in fixes:
         report = driver.add_measurement(ts, pkg.Pose2(*fix))
         frames.append(_report(report) | {"pose": driver.online[-1].as_tuple()})
         durations.append(report.duration_ms)
-    wall = time.perf_counter() - t0
+        yield
     sm = driver.smoother
     end = {"final": [p.as_tuple() for p in sm.estimate().values()], "sigma": sm.marginal_sigma(len(fixes) - 1)}
-    return wall, frames, end, durations
+    return frames, end, durations
 
 
 def run_graph(pkg, steps):
-    """Wall seconds, per-frame records, the end record and None for durations, as the bench times a whole frame here, of one loop graph on the side pkg, as the bench runs it."""
+    """One loop graph on the side pkg, as the bench runs it, a step to each yield: the set-up, one frame each, then the batch solve; returns the per-frame records, the end record and None for durations, as the bench times a whole frame here."""
 
     def build(spec):
         kind, keys, value, sigmas = spec
         return getattr(pkg, kind)(*keys, pkg.Pose2(*value), pkg.DiagonalNoise(*sigmas))
 
-    t0 = time.perf_counter()
     sm = pkg.Smoother()
     frames = []
+    yield
     for k, specs in enumerate(steps):
         sm.add_variable()
         for spec in specs:
@@ -143,8 +147,9 @@ def run_graph(pkg, steps):
             report = sm.update()
         except pkg.GaugeError:
             frames.append({"error": "GaugeError"})
-            continue
-        frames.append(_report(report) | {"sigma": sm.marginal_sigma(k), "pose": sm.pose_estimate(k).as_tuple()})
+        else:
+            frames.append(_report(report) | {"sigma": sm.marginal_sigma(k), "pose": sm.pose_estimate(k).as_tuple()})
+        yield
     batch = pkg.Smoother()
     for _ in steps:
         batch.add_variable()
@@ -155,8 +160,30 @@ def run_graph(pkg, steps):
         batch_estimate = [p.as_tuple() for p in batch.estimate().values()]
     except pkg.GaugeError:
         batch_estimate = None
-    wall = time.perf_counter() - t0
-    return wall, frames, {"final": [p.as_tuple() for p in sm.estimate().values()], "batch": batch_estimate}, None
+    yield
+    return frames, {"final": [p.as_tuple() for p in sm.estimate().values()], "batch": batch_estimate}, None
+
+
+def lockstep(runs: dict, turn: int = 0) -> dict:
+    """Each side's (wall seconds, then what its run returned), stepping the runs, generators such as run_chain's, one step each in turn.
+
+    turn counts the turns before the first: the first of runs goes first in
+    an even turn, the other in an odd one. A side's wall is the sum of its
+    step times.
+    """
+    walls, out = dict.fromkeys(runs, 0.0), {}
+    while len(out) < len(runs):
+        sides = list(runs) if turn % 2 == 0 else list(runs)[::-1]
+        for side in (s for s in sides if s not in out):
+            t0 = time.perf_counter()
+            try:
+                next(runs[side])
+            except StopIteration as stop:
+                out[side] = (walls[side],) + stop.value
+                continue
+            walls[side] += time.perf_counter() - t0
+        turn += 1
+    return out
 
 
 def _difference(a, b) -> tuple[float, float]:
@@ -190,7 +217,7 @@ def _quartiles(values) -> dict:
 
 
 def compare(base, head, run, units: list, repeat: int = 1) -> dict:
-    """Run every unit on both sides, repeat times, alternating which goes first; the differences and the wall and frame_p50_ms ratios."""
+    """Run every unit on both sides in lockstep, repeat times; the differences and the wall and frame_p50_ms ratios."""
     first, largest = None, {}
     ratios, frames = [], 0
     # each side's median update() duration of every unit run that gives durations
@@ -198,14 +225,12 @@ def compare(base, head, run, units: list, repeat: int = 1) -> dict:
     # each side's frames of the first run of the units, for the totals
     first_run = {"base": [], "head": []}
     # an untimed run of each side first, so that no unit pays for first calls
-    for pkg in (base, head):
-        run(pkg, units[0])
+    lockstep({"base": run(base, units[0]), "head": run(head, units[0])})
     for r in range(repeat):
         for u, inputs in enumerate(units):
-            out = {}
-            for side in ("base", "head") if len(ratios) % 2 == 0 else ("head", "base"):
-                gc.collect()
-                out[side] = run(base if side == "base" else head, inputs)
+            gc.collect()
+            # the side that goes first alternates from unit to unit too
+            out = lockstep({"base": run(base, inputs), "head": run(head, inputs)}, len(ratios))
             (base_wall, base_frames, base_end, _), (head_wall, head_frames, head_end, _) = out["base"], out["head"]
             ratios.append(head_wall / base_wall)
             for side, (*_, durations) in out.items():
